@@ -30,9 +30,12 @@ from .ensembles import (
     GaussianEntries,
     PartitionSpec,
     RngStream,
+    SystemSampler,
     TwoShellMixture,
     UniformBall,
+    draw_block,
     partition,
+    ratio_sampler,
     sample_matrix,
     sample_radius,
     sample_system,
@@ -50,16 +53,10 @@ from .girko import (
     ratio_logdensity,
     sample_solution,
     sample_stable_system,
+    solution_sampler,
+    stable_sampler,
 )
-from .matcore import (
-    LuFactors,
-    log_abs_det,
-    lu_factor,
-    lu_solve,
-    singular_values,
-    solve_multi,
-    spd_logdet,
-)
+from .matcore import LuFactors, lu_factor, lu_solve, solve_multi, spd_logdet
 from .stats import Histogram, KsReport, McEstimate, histogram, ks_one_sample, ks_two_sample, mc_mean
 
 __version__ = "0.1.0"
@@ -77,6 +74,7 @@ __all__ = [
     "PartitionSpec",
     "RngStream",
     "StableLaw",
+    "SystemSampler",
     "TDistParams",
     "TwoShellMixture",
     "UniformBall",
@@ -84,6 +82,7 @@ __all__ = [
     "beta_euclidean",
     "cauchy_cdf",
     "cauchy_logpdf",
+    "draw_block",
     "gamma_identity_residual",
     "gaussian_detn_integral",
     "girko_logdensity",
@@ -92,7 +91,6 @@ __all__ = [
     "histogram",
     "ks_one_sample",
     "ks_two_sample",
-    "log_abs_det",
     "log_matrix_t",
     "log_mdim_cauchy",
     "log_universal_complex",
@@ -103,6 +101,7 @@ __all__ = [
     "ortho_volume",
     "partition",
     "ratio_logdensity",
+    "ratio_sampler",
     "sample_matrix",
     "sample_radius",
     "sample_solution",
@@ -111,8 +110,9 @@ __all__ = [
     "sample_unit_direction",
     "sample_z",
     "selberg_Z_integral",
-    "singular_values",
     "solve_multi",
     "spd_logdet",
+    "solution_sampler",
     "sphere_area",
+    "stable_sampler",
 ]

@@ -2,9 +2,9 @@
 
 Experiments are described by a flat JSON config (kind, dimensions, radial
 laws, sample count, seed, ...).  Sampling is split into fixed-size blocks of
-draws; block b of arm a always consumes the substream keyed by (seed, a, b),
-so the pooled sample is bit-identical no matter how many worker shards
-process the blocks or in which order they finish.  Reports are emitted as
+draws, each drawn and solved at once; block b of arm a always consumes the
+substream keyed by (seed, a, b), so the pooled sample is bit-identical for
+a given seed whatever the shard count in the config.  Reports are emitted as
 schema-stable JSON (byte-identical across reruns of the same config+seed)
 and as CSV holding the raw per-draw statistics for external plotting.
 """
@@ -14,10 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
+import operator
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +24,7 @@ import numpy as np
 from . import densities, ensembles, girko, matcore, stats
 from .densities import CauchyParams, TDistParams
 from .ensembles import (
+    BLOCK,
     EnsembleSpec,
     FixedShell,
     GaussianEntries,
@@ -34,8 +34,6 @@ from .ensembles import (
     TwoShellMixture,
     UniformBall,
 )
-
-BLOCK = 64  # draws per substream; fixed so pooled output never depends on shard count
 
 KINDS = ("universality", "exactness", "girko", "girko-stable", "identities", "complex")
 DENSITY_KINDS = ("universal-real", "universal-complex", "matrix-t", "girko")
@@ -96,7 +94,7 @@ class ExperimentConfig:
     alpha: int = 2
     scale: float = 0.5
     samples: int = 20000
-    shards: int = 1
+    shards: int = 1  # validated and echoed in the report; the draws do not depend on it
     out: str | None = None
     format: str = "json"
     significance: float = 1e-3
@@ -131,6 +129,16 @@ def _take(raw: dict, key: str, kind, default=None, required: bool = False):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _take_list(raw: dict, key: str, item) -> tuple:
+    value = raw[key]
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key}: expected a list, got {value!r}")
+    try:
+        return tuple(item(v) for v in value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a flat config dict; errors name the offending field."""
     if not isinstance(raw, dict):
@@ -156,9 +164,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if isinstance(laws, str):
         laws = [laws]
     cfg.radial = tuple(parse_radial(d) for d in laws)
-    if "b_columns" in raw:
-        cfg.b_columns = tuple(int(c) for c in raw["b_columns"])
-    cfg.u = tuple(float(x) for x in raw.get("u", ()))
+    if raw.get("b_columns") is not None:
+        cfg.b_columns = _take_list(raw, "b_columns", operator.index)
+    if "u" in raw:
+        cfg.u = _take_list(raw, "u", float)
     cfg.alpha = _take(raw, "alpha", int, cfg.alpha)
     cfg.scale = _take(raw, "scale", float, cfg.scale)
     cfg.samples = _take(raw, "samples", int, cfg.samples)
@@ -183,6 +192,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"n: exactness compares components to the Cauchy law and needs n = 1, got {cfg.n}")
     if kind == "universality" and len(cfg.radial) < 2:
         raise ConfigError("radial: universality needs at least two laws to compare")
+    if kind in ("universality", "complex") and cfg.n < 1:
+        raise ConfigError(f"n: {kind} draws m x n block ratios and needs n >= 1, got {cfg.n}")
+    if not all(math.isfinite(x) for x in cfg.u):
+        raise ConfigError(f"u: entries must be finite, got {list(cfg.u)}")
+    if cfg.b_columns is not None:
+        try:
+            ensembles._partition_indices(cfg.b_columns, cfg.m, cfg.m + cfg.n)
+        except ensembles.BadPartition as exc:
+            raise ConfigError(f"b_columns: {exc}") from None
     return cfg
 
 
@@ -247,46 +265,35 @@ def _residual_entry(name: str, value: float, tolerance: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# sharded sampling
+# block sampling
 
 
-def _pool_size(shards: int, blocks: int) -> int:
-    cap = os.environ.get("RMTLAB_THREADS")
-    cap = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(shards, cap, blocks))
+def _pooled_rows(cfg: ExperimentConfig, arm: int, sampler: ensembles.SystemSampler,
+                 row_of) -> tuple[np.ndarray, int]:
+    """Stack row_of(Z) over cfg.samples solved systems -> (rows, resamples).
 
-
-def _pooled_rows(cfg: ExperimentConfig, arm: int, draw_one) -> tuple[np.ndarray, int]:
-    """Collect cfg.samples draws of draw_one(gen) -> (row, resamples).
-
-    Block b of this arm always uses the substream (seed, arm << 32 | b);
-    workers only decide who executes a block, never what it contains.
+    Block b of this arm always draws its BLOCK systems from the substream
+    (seed, arm << 32 | b), so the pooled rows depend on the seed alone.
+    row_of maps a block's (k, m, c) solution stack to its k report rows; it
+    runs per block so that only the rows, never all solutions, are pooled.
     """
     n = cfg.samples
-    blocks = (n + BLOCK - 1) // BLOCK
-    out: list = [None] * blocks
-    rejected = [0] * blocks
-
-    def work(b: int) -> None:
+    rows = []
+    rejected = 0
+    for b, start in enumerate(range(0, n, BLOCK)):
         gen = RngStream(cfg.seed, (arm << 32) | b).generator()
-        count = min(BLOCK, n - b * BLOCK)
-        rows = []
-        rej = 0
-        for _ in range(count):
-            row, r = draw_one(gen)
-            rows.append(row)
-            rej += r
-        out[b] = np.asarray(rows)
-        rejected[b] = rej
+        Z, rej = ensembles.draw_block(sampler, gen, min(BLOCK, n - start))
+        rows.append(row_of(Z))
+        rejected += rej
+    return np.concatenate(rows), rejected
 
-    workers = _pool_size(cfg.shards, blocks)
-    if workers <= 1:
-        for b in range(blocks):
-            work(b)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(blocks)))
-    return np.concatenate(out, axis=0), sum(rejected)
+
+def _first_column(Z: np.ndarray) -> np.ndarray:
+    return Z[:, :, 0]
+
+
+def _partition(cfg: ExperimentConfig) -> PartitionSpec:
+    return PartitionSpec(cfg.b_columns) if cfg.b_columns else PartitionSpec.leading(cfg.m)
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +341,7 @@ def _run_identities(cfg: ExperimentConfig, report: RunReport) -> None:
 
 def _run_exactness(cfg: ExperimentConfig, report: RunReport) -> None:
     spec = EnsembleSpec(m=cfg.m, n=1, field="real", radial=cfg.radial[0])
-    part = PartitionSpec(cfg.b_columns) if cfg.b_columns else PartitionSpec.leading(cfg.m)
-
-    def draw(gen):
-        Z, rej = ensembles.sample_z(spec, part, gen)
-        return Z[:, 0], rej
-
-    rows, rej = _pooled_rows(cfg, 0, draw)
+    rows, rej = _pooled_rows(cfg, 0, ensembles.ratio_sampler(spec, _partition(cfg)), _first_column)
     report.resamples += rej
     report.columns = [f"z{i + 1}" for i in range(cfg.m)]
     report.rows = rows.tolist()
@@ -351,23 +352,19 @@ def _run_exactness(cfg: ExperimentConfig, report: RunReport) -> None:
         report.entries.append(_ks_entry(f"component-z{i + 1}-vs-cauchy", ks))
 
 
-def _universality_statistics(cfg: ExperimentConfig, field: str) -> tuple[np.ndarray, int, list[str]]:
+def _universality_statistics(cfg: ExperimentConfig, field: str) -> tuple[list, int, list[str]]:
     """Per-arm draws of (log det gram statistic, first entry statistic)."""
-    part = PartitionSpec(cfg.b_columns) if cfg.b_columns else PartitionSpec.leading(cfg.m)
+
+    def statistics(Z):
+        z11 = Z[:, 0, 0]
+        first = np.abs(z11) ** 2 if field == "complex" else z11
+        return np.column_stack([matcore.gram_logdet(Z), first])
+
     arms = []
     total_rej = 0
     for a, law in enumerate(cfg.radial):
         spec = EnsembleSpec(m=cfg.m, n=cfg.n, field=field, radial=law)
-
-        def draw(gen, spec=spec):
-            Z, rej = ensembles.sample_z(spec, part, gen)
-            gram = np.eye(spec.m) + Z @ Z.conj().T
-            t_stat = matcore.spd_logdet(gram)
-            z11 = Z[0, 0]
-            first = abs(z11) ** 2 if field == "complex" else z11
-            return (t_stat, first), rej
-
-        rows, rej = _pooled_rows(cfg, a, draw)
+        rows, rej = _pooled_rows(cfg, a, ensembles.ratio_sampler(spec, _partition(cfg)), statistics)
         total_rej += rej
         arms.append(rows)
     return arms, total_rej, [radial_label(r) for r in cfg.radial]
@@ -416,12 +413,7 @@ def _run_girko(cfg: ExperimentConfig, report: RunReport) -> None:
     labels = [radial_label(r) for r in cfg.radial]
     for a, law in enumerate(cfg.radial):
         spec = girko.LinearSystemSpec(m=cfg.m, n=cfg.n, u=cfg.u, radial=law)
-
-        def draw(gen, spec=spec):
-            z, rej = girko.sample_solution(spec, gen)
-            return z, rej
-
-        rows, rej = _pooled_rows(cfg, a, draw)
+        rows, rej = _pooled_rows(cfg, a, girko.solution_sampler(spec), _first_column)
         report.resamples += rej
         arms.append(rows)
     report.columns = ["radial"] + [f"z{i + 1}" for i in range(cfg.m)]
@@ -447,11 +439,7 @@ def _run_girko_stable(cfg: ExperimentConfig, report: RunReport) -> None:
     law = girko.StableLaw(alpha=cfg.alpha, c=cfg.scale)
     beta = girko.beta_alpha(cfg.u, cfg.alpha)
 
-    def draw(gen):
-        z, rej = girko.sample_stable_system(cfg.m, cfg.n, cfg.u, law, gen)
-        return z, rej
-
-    rows, rej = _pooled_rows(cfg, 0, draw)
+    rows, rej = _pooled_rows(cfg, 0, girko.stable_sampler(cfg.m, cfg.n, cfg.u, law), _first_column)
     report.resamples += rej
     report.columns = [f"z{i + 1}" for i in range(cfg.m)]
     report.rows = rows.tolist()
@@ -652,7 +640,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run an experiment described by a JSON config")
     p_run.add_argument("config", help="path to the flat JSON experiment config")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--shards", type=int, default=None, help="override the worker shard count")
+    p_run.add_argument("--shards", type=int, default=None, help="override the echoed shard count")
     p_run.add_argument("--out", default=None, help="report path stem")
     p_run.add_argument("--format", choices=["json", "csv", "both"], default=None)
     p_run.set_defaults(fn=_cmd_run)

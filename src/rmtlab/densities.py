@@ -100,6 +100,21 @@ def log_universal_complex_norm(m: int, n: int) -> float:
     return _ordered_sum(terms)
 
 
+def _gram_logdet(Z: np.ndarray) -> float:
+    """log det(1 + Z Z^H), as the sum of log(1 + sigma^2) over Z's singular values.
+
+    Above sigma = 1 each term is taken as 2 log sigma + log1p(sigma^-2), so
+    the value stays finite and accurate for any finite Z.  Forming Z Z^H
+    instead would overflow past |Z| ~ 1e154, and a Cholesky factorization
+    of it loses the small singular values once the large ones pass ~1e8.
+    """
+    if not np.isfinite(Z).all():
+        raise ValueError("Z contains non-finite entries")
+    sigma = np.linalg.svd(Z, compute_uv=False)
+    small, large = sigma[sigma <= 1.0], sigma[sigma > 1.0]
+    return float(np.log1p(small * small).sum() + (2.0 * np.log(large) + np.log1p(large**-2.0)).sum())
+
+
 def log_universal_real(Z) -> float:
     """Log density of the universal law of Z = B^-1 X, real case.
 
@@ -108,8 +123,7 @@ def log_universal_real(Z) -> float:
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     m, n = Z.shape
-    gram_logdet = matcore.spd_logdet(np.eye(m) + Z @ Z.T)
-    return log_universal_real_norm(m, n) - 0.5 * (m + n) * gram_logdet
+    return log_universal_real_norm(m, n) - 0.5 * (m + n) * _gram_logdet(Z)
 
 
 def log_universal_complex(Z) -> float:
@@ -120,8 +134,7 @@ def log_universal_complex(Z) -> float:
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     m, n = Z.shape
-    gram_logdet = matcore.spd_logdet(np.eye(m) + Z @ Z.conj().T)
-    return log_universal_complex_norm(m, n) - float(m + n) * gram_logdet
+    return log_universal_complex_norm(m, n) - float(m + n) * _gram_logdet(Z)
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ entries, and a bimodal two-shell mixture.
 
 from __future__ import annotations
 
-import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,6 +24,7 @@ import numpy as np
 from . import matcore
 
 _MASK64 = (1 << 64) - 1
+BLOCK = 64  # draws per substream block; fixed so pooled output never depends on sharding
 
 
 class InvalidLaw(ValueError):
@@ -152,17 +153,42 @@ def sample_unit_direction(d: int, rng: np.random.Generator) -> np.ndarray:
             return v / norm
 
 
-def sample_radius(law: RadialLaw, d: int, rng: np.random.Generator) -> float:
-    """Draw the Frobenius radius for the given law in total dimension d."""
+def sample_radius(law: RadialLaw, d: int, rng: np.random.Generator, size: int | None = None):
+    """Draw the Frobenius radius for the given law in total dimension d.
+
+    Returns a float, or an array of `size` independent radii.
+    """
     if isinstance(law, GaussianEntries):
-        return float(np.sqrt(rng.chisquare(d)))
-    if isinstance(law, FixedShell):
-        return law.r0
-    if isinstance(law, UniformBall):
-        return float(law.R * rng.random() ** (1.0 / d))
-    if isinstance(law, TwoShellMixture):
-        return law.r1 if rng.random() < law.w else law.r2
-    raise InvalidLaw(f"unknown radial law {law!r}")
+        r = np.sqrt(rng.chisquare(d, size))
+    elif isinstance(law, FixedShell):
+        r = np.full(() if size is None else size, law.r0)
+    elif isinstance(law, UniformBall):
+        r = law.R * rng.random(size) ** (1.0 / d)
+    elif isinstance(law, TwoShellMixture):
+        r = np.where(rng.random(size) < law.w, law.r1, law.r2)
+    else:
+        raise InvalidLaw(f"unknown radial law {law!r}")
+    return float(r) if size is None else r
+
+
+def sample_radial_rows(law: RadialLaw, d: int, rng: np.random.Generator, k: int) -> np.ndarray:
+    """k independent draws of radius times uniform direction in d dimensions.
+
+    All k radii are drawn first, then one (k, d) normal array whose rows
+    are scaled to those radii.  Returns the (k, d) array.  A normal row of
+    zeros (probability zero) comes out as NaN, which draw_block rejects.
+    """
+    r = sample_radius(law, d, rng, size=k)
+    V = rng.standard_normal((k, d))
+    V *= (r / np.sqrt(np.einsum("ij,ij->i", V, V)))[:, None]
+    return V
+
+
+def _matrices(spec: EnsembleSpec, rng: np.random.Generator, k: int) -> np.ndarray:
+    V = sample_radial_rows(spec.radial, spec.dim, rng, k)
+    if spec.field == "complex":
+        V = V.view(np.complex128)  # consecutive coordinates are (re, im) pairs
+    return V.reshape(k, spec.m, spec.m + spec.n)
 
 
 def sample_matrix(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
@@ -171,17 +197,7 @@ def sample_matrix(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
     For the complex field the direction lives on the sphere of dimension
     2m(m+n) and consecutive coordinates become real and imaginary parts.
     """
-    d = spec.dim
-    r = sample_radius(spec.radial, d, rng)
-    while True:
-        v = rng.standard_normal(d)
-        norm = math.sqrt(v @ v)
-        if norm > 0.0:
-            break
-    v *= r / norm
-    if spec.field == "complex":
-        v = v[0::2] + 1j * v[1::2]
-    return v.reshape(spec.m, spec.m + spec.n)
+    return _matrices(spec, rng, 1)[0]
 
 
 @lru_cache(maxsize=None)
@@ -211,6 +227,60 @@ def partition(A, p: PartitionSpec) -> tuple[np.ndarray, np.ndarray]:
     return A[:, b_idx], A[:, x_idx]
 
 
+@dataclass(frozen=True)
+class SystemSampler:
+    """One kind of random linear system B Z = R, drawn many at a time.
+
+    draw(gen, k) makes k parent draws in one call; split(parents) turns
+    them into the stacks B (k, m, m) and R (k, m, c), writable in place.
+    """
+
+    draw: Callable[[np.random.Generator, int], np.ndarray]
+    split: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def draw_block(
+    sampler: SystemSampler,
+    rng: np.random.Generator,
+    k: int,
+    max_rejects: int = 100,
+) -> tuple[np.ndarray, int]:
+    """Draw k systems from rng and solve them all: (Z stack, rejections).
+
+    Systems whose B block is numerically singular (matcore.near_singular)
+    are redrawn from the same generator, all flagged rows in one call, until
+    none is flagged; the rejections are counted.  Raises ResampleLimit once
+    a row is flagged max_rejects times in a row.  Z = B^-1 R comes from one
+    stacked LAPACK solve and has shape (k, m, c).
+    """
+    B, R = sampler.split(sampler.draw(rng, k))
+    flagged = np.flatnonzero(matcore.near_singular(B))
+    rejects = 0
+    streak = 0  # every row still flagged has been flagged in each round so far
+    while flagged.size:
+        streak += 1
+        rejects += flagged.size
+        if streak >= max_rejects:
+            raise ResampleLimit(f"{streak} consecutive near-singular draws")
+        B[flagged], R[flagged] = sampler.split(sampler.draw(rng, flagged.size))
+        flagged = flagged[matcore.near_singular(B[flagged])]
+    return np.linalg.solve(B, R), rejects
+
+
+def ratio_sampler(spec: EnsembleSpec, p: PartitionSpec | None = None) -> SystemSampler:
+    """Draws of Z = B^-1 X for ensemble draws A -> (B, X) split by p.
+
+    p defaults to the leading m columns; raises BadPartition for a bad p.
+    """
+    if p is None:
+        p = PartitionSpec.leading(spec.m)
+    b_idx, x_idx = _partition_indices(p.b_columns, spec.m, spec.m + spec.n)
+    return SystemSampler(
+        draw=lambda rng, k: _matrices(spec, rng, k),
+        split=lambda A: (A[..., b_idx], A[..., x_idx]),
+    )
+
+
 def sample_z(
     spec: EnsembleSpec,
     p: PartitionSpec | None = None,
@@ -219,30 +289,17 @@ def sample_z(
 ) -> tuple[np.ndarray, int]:
     """Draw Z solving B @ Z = X for one ensemble draw A -> (B, X).
 
-    Draws whose B block is numerically singular (per the matcore pivot
-    threshold) are rejected and redrawn; the number of rejections is
-    returned alongside Z.  Raises ResampleLimit after max_rejects
-    consecutive rejections.
+    A one-draw block of ratio_sampler(spec, p): near-singular B draws are
+    rejected and redrawn, and the number of rejections is returned
+    alongside Z.  Raises ResampleLimit after max_rejects consecutive
+    rejections.
     """
     if spec.n < 1:
         raise ValueError("sample_z needs n >= 1")
-    if p is None:
-        p = PartitionSpec.leading(spec.m)
     if rng is None:
         raise ValueError("an explicit numpy Generator is required")
-    rejects = 0
-    while True:
-        A = sample_matrix(spec, rng)
-        B, X = partition(A, p)
-        try:
-            factors = matcore.lu_factor(B)
-        except matcore.SingularMatrix:
-            factors = None
-        if factors is not None and not factors.near_singular:
-            return matcore.solve_multi(B, X, factors=factors), rejects
-        rejects += 1
-        if rejects >= max_rejects:
-            raise ResampleLimit(f"{rejects} consecutive near-singular draws")
+    Z, rejects = draw_block(ratio_sampler(spec, p), rng, 1, max_rejects)
+    return Z[0], rejects
 
 
 def sample_system(
@@ -257,9 +314,5 @@ def sample_system(
     dimension m*(m+n+1), so the radial law applies to tr A^T A + b^T b.
     Real field only.
     """
-    d = m * (m + n + 1)
-    r = sample_radius(radial, d, rng)
-    v = r * sample_unit_direction(d, rng)
-    A = v[: m * (m + n)].reshape(m, m + n)
-    b = v[m * (m + n):]
-    return A, b
+    v = sample_radial_rows(radial, m * (m + n + 1), rng, 1)[0]
+    return v[: m * (m + n)].reshape(m, m + n), v[m * (m + n):]

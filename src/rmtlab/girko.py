@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from . import densities, ensembles, matcore
+from . import densities, ensembles
 
 QUAD_ABS_TOL = 1e-10
 QUAD_ERR_CAP = 1e-8
@@ -117,6 +118,38 @@ def ratio_logdensity(r: float) -> float:
     return -math.log(math.pi) - math.log1p(r * r)
 
 
+def _system_split(m: int, n: int, u) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Split flat (A, b) rows, laid out as in sample_system, into B and b - X u."""
+    u = np.asarray(u, dtype=float)
+
+    def split(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        A = V[:, : m * (m + n)].reshape(len(V), m, m + n)
+        rhs = V[:, m * (m + n):] - A[:, :, m:] @ u
+        return A[:, :, :m], rhs[:, :, None]
+
+    return split
+
+
+def solution_sampler(spec: LinearSystemSpec) -> ensembles.SystemSampler:
+    """Systems B z = b - X u with (A, b) drawn jointly, as in sample_system."""
+    d = spec.m * (spec.m + spec.n + 1)
+    return ensembles.SystemSampler(
+        draw=lambda rng, k: ensembles.sample_radial_rows(spec.radial, d, rng, k),
+        split=_system_split(spec.m, spec.n, spec.u),
+    )
+
+
+def stable_sampler(m: int, n: int, u, law: StableLaw) -> ensembles.SystemSampler:
+    """Systems B z = b - X u whose entries of A and b are i.i.d. from law."""
+    u = np.asarray(u, dtype=float)
+    if u.size != n:
+        raise ValueError(f"u has {u.size} entries, expected n = {n}")
+    return ensembles.SystemSampler(
+        draw=lambda rng, k: law.sample((k, m * (m + n + 1)), rng),
+        split=_system_split(m, n, u),
+    )
+
+
 def sample_solution(
     spec: LinearSystemSpec,
     rng: np.random.Generator,
@@ -124,25 +157,11 @@ def sample_solution(
 ) -> tuple[np.ndarray, int]:
     """Draw one solution z of B z = b - X u for a fresh (A, b) draw.
 
-    Near-singular B draws are rejected and redrawn, as in sample_z; the
-    rejection count is returned.
+    A one-draw block of solution_sampler(spec): near-singular B draws are
+    rejected and redrawn, as in sample_z; the rejection count is returned.
     """
-    u = np.asarray(spec.u, dtype=float)
-    rejects = 0
-    while True:
-        A, b = ensembles.sample_system(spec.m, spec.n, spec.radial, rng)
-        B = A[:, : spec.m]
-        X = A[:, spec.m:]
-        rhs = b - X @ u
-        try:
-            factors = matcore.lu_factor(B)
-        except matcore.SingularMatrix:
-            factors = None
-        if factors is not None and not factors.near_singular:
-            return matcore.solve_multi(B, rhs, factors=factors), rejects
-        rejects += 1
-        if rejects >= max_rejects:
-            raise ensembles.ResampleLimit(f"{rejects} consecutive near-singular draws")
+    z, rejects = ensembles.draw_block(solution_sampler(spec), rng, 1, max_rejects)
+    return z[0, :, 0], rejects
 
 
 def sample_stable_system(
@@ -154,24 +173,8 @@ def sample_stable_system(
     max_rejects: int = 100,
 ) -> tuple[np.ndarray, int]:
     """Draw one solution z of B z = b - X u with i.i.d. stable entries."""
-    u = np.asarray(u, dtype=float)
-    if u.size != n:
-        raise ValueError(f"u has {u.size} entries, expected n = {n}")
-    rejects = 0
-    while True:
-        A = law.sample((m, m + n), rng)
-        b = law.sample(m, rng)
-        B = A[:, :m]
-        rhs = b - A[:, m:] @ u
-        try:
-            factors = matcore.lu_factor(B)
-        except matcore.SingularMatrix:
-            factors = None
-        if factors is not None and not factors.near_singular:
-            return matcore.solve_multi(B, rhs, factors=factors), rejects
-        rejects += 1
-        if rejects >= max_rejects:
-            raise ensembles.ResampleLimit(f"{rejects} consecutive near-singular draws")
+    z, rejects = ensembles.draw_block(stable_sampler(m, n, u, law), rng, 1, max_rejects)
+    return z[0, :, 0], rejects
 
 
 def _quad_checked(f, lo, hi, what: str, points=None) -> float:

@@ -1,15 +1,15 @@
 """Dense linear algebra kernels for small real and complex matrices.
 
-The factorizations are written out explicitly instead of delegating to
-LAPACK: matrices here are tiny (m up to ~50), the rejection samplers need
-direct access to pivot magnitudes for their near-singularity test, and all
-determinant work happens in log-domain where naive products would overflow
-for moderate dimensions.
+Solves and Cholesky factorizations go to numpy's LAPACK, stacked over many
+small matrices at once where the samplers need them.  Two pieces stay
+written out here: the partial-pivot LU whose pivot magnitudes decide the
+near-singularity rejection rule, vectorized over a stack of matrices, and a
+single-matrix LU with substitution for callers that reuse one
+factorization.  Determinants are only ever formed in the log domain.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,33 +28,32 @@ class NotPositiveDefinite(ValueError):
     """A Cholesky pivot was not strictly positive."""
 
 
-class ConvergenceFailure(RuntimeError):
-    """An iterative kernel hit its sweep cap before reaching tolerance."""
-
-
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
+def _as_square(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     dtype = np.complex128 if np.iscomplexobj(m) else np.float64
     return m.astype(dtype, copy=True)
 
 
-def _as_square(a, name: str = "matrix") -> np.ndarray:
-    m = _as_matrix(a, name)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
-    return m
+def _pivots_flagged(pivots: np.ndarray) -> np.ndarray:
+    """Pivot-ratio rule over the last axis of |pivot| magnitudes.
+
+    A factorization is flagged when min |pivot| <= NEAR_SINGULAR_RATIO *
+    max |pivot|; a non-finite pivot is flagged too.  The threshold is read
+    at call time so it can be changed for the whole process.
+    """
+    return ~(pivots.min(axis=-1) > NEAR_SINGULAR_RATIO * pivots.max(axis=-1))
 
 
 @dataclass(frozen=True)
 class LuFactors:
-    """Row-pivoted LU factorization: input[perm] == lower @ upper.
+    """Row-pivoted LU factorization: input[perm] == L @ U.
 
-    Both triangles live packed in one matrix (unit diagonal of the lower
-    factor implied); lower and upper are materialized on demand.
+    Both triangles live packed in one matrix; the unit diagonal of L is
+    implied.
     """
 
     perm: np.ndarray    # perm[i] is the input row sitting in row i of L@U
@@ -62,19 +61,8 @@ class LuFactors:
     sign: int           # parity of perm, +1 or -1
 
     @property
-    def lower(self) -> np.ndarray:
-        L = np.tril(self.packed, -1)
-        np.fill_diagonal(L, 1.0)
-        return L
-
-    @property
-    def upper(self) -> np.ndarray:
-        return np.triu(self.packed)
-
-    @property
     def near_singular(self) -> bool:
-        d = np.abs(np.diagonal(self.packed))
-        return bool(d.min() <= NEAR_SINGULAR_RATIO * d.max())
+        return bool(_pivots_flagged(np.abs(np.diagonal(self.packed))))
 
 
 def lu_factor(B) -> LuFactors:
@@ -103,6 +91,31 @@ def lu_factor(B) -> LuFactors:
     return LuFactors(perm=perm, packed=A, sign=sign)
 
 
+def near_singular(B) -> np.ndarray:
+    """Flag each matrix of a (k, m, m) stack by the LuFactors pivot rule.
+
+    Runs the partial-pivot elimination of lu_factor on all k matrices at
+    once and keeps only the pivot magnitudes.  Exact zero pivots and
+    non-finite entries are flagged instead of raising.
+    """
+    A = np.array(B, dtype=np.result_type(B, np.float64))
+    k, m, _ = A.shape
+    rows = np.arange(k)
+    pivots = np.empty((k, m))
+    for j in range(m):
+        p = j + np.argmax(np.abs(A[:, j:, j]), axis=1)
+        top = A[rows, j].copy()
+        A[rows, j] = A[rows, p]
+        A[rows, p] = top
+        d = A[:, j, j]
+        pivots[:, j] = np.abs(d)
+        if j + 1 < m:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                mult = A[:, j + 1:, j] / d[:, None]
+                A[:, j + 1:, j + 1:] -= mult[:, :, None] * A[:, j, None, j + 1:]
+    return _pivots_flagged(pivots)
+
+
 def lu_solve(factors: LuFactors, X) -> np.ndarray:
     """Solve B @ Z = X given the LU factors of B (single substitution pass)."""
     P = factors.packed
@@ -111,31 +124,9 @@ def lu_solve(factors: LuFactors, X) -> np.ndarray:
     squeeze = X.ndim == 1
     if X.shape[0] != n:
         raise ValueError(f"right-hand side has {X.shape[0]} rows, expected {n}")
-    if n <= 4 and (squeeze or X.shape[1] == 1):
-        # scalar substitution: systems this small dominate the samplers
-        # and array-op dispatch would cost more than the arithmetic
-        p = P.tolist()
-        xs = X.ravel().tolist()
-        y = [xs[i] for i in factors.perm]
-        for i in range(1, n):
-            row = p[i]
-            acc = y[i]
-            for j in range(i):
-                acc -= row[j] * y[j]
-            y[i] = acc
-        for i in range(n - 1, -1, -1):
-            row = p[i]
-            acc = y[i]
-            for j in range(i + 1, n):
-                acc -= row[j] * y[j]
-            y[i] = acc / row[i]
-        out = np.array(y, dtype=np.result_type(P.dtype, X.dtype))
-        return out if squeeze else out[:, None]
     if squeeze:
         X = X[:, None]
-    Y = X[factors.perm]  # fancy indexing already copies
-    if Y.dtype != np.result_type(P.dtype, X.dtype):
-        Y = Y.astype(np.result_type(P.dtype, X.dtype))
+    Y = X[factors.perm].astype(np.result_type(P.dtype, X.dtype), copy=False)
     for i in range(1, n):
         Y[i] -= P[i, :i] @ Y[:i]
     for i in range(n - 1, -1, -1):
@@ -163,93 +154,32 @@ def solve_multi(B, X, factors: LuFactors | None = None) -> np.ndarray:
     return Z + lu_solve(factors, resid)
 
 
-def log_abs_det(B) -> tuple[float, complex]:
-    """Return (log |det B|, sign).
-
-    The sign is +-1 for real input and a unit-modulus complex number for
-    complex input.  Singular matrices are encoded as (-inf, 0), never an
-    exception.
-    """
+def _cholesky_logdet(S: np.ndarray) -> np.ndarray:
+    """log det of each Hermitian positive definite matrix in a stack."""
     try:
-        f = lu_factor(B)
-    except SingularMatrix:
-        return -math.inf, 0.0
-    d = np.diagonal(f.packed)
-    mags = np.abs(d)
-    if np.any(mags == 0.0):
-        return -math.inf, 0.0
-    log_abs = float(np.sum(np.log(mags)))
-    phase = f.sign * np.prod(d / mags)
-    if not np.iscomplexobj(d):
-        phase = float(np.sign(phase))
-    return log_abs, phase
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from None
+    return 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1).real).sum(axis=-1)
 
 
 def spd_logdet(S) -> float:
     """log det of a symmetric (Hermitian) positive definite matrix.
 
-    Uses an explicit Cholesky factorization; raises NotPositiveDefinite
-    as soon as a pivot fails to be strictly positive.
+    Raises NotPositiveDefinite when the Cholesky factorization fails.
     """
-    A = _as_square(S, "S")
-    n = A.shape[0]
-    L = np.zeros_like(A)
-    acc = 0.0
-    for j in range(n):
-        pivot = float(A[j, j].real) - float(np.vdot(L[j, :j], L[j, :j]).real)
-        if pivot <= 0.0:
-            raise NotPositiveDefinite(f"pivot {pivot:.3e} at row {j}")
-        L[j, j] = math.sqrt(pivot)
-        acc += math.log(pivot)
-        if j + 1 < n:
-            L[j + 1:, j] = (A[j + 1:, j] - L[j + 1:, :j] @ np.conj(L[j, :j])) / L[j, j]
-    return acc
+    return float(_cholesky_logdet(_as_square(S, "S")))
 
 
-def singular_values(B, max_sweeps: int = 60, tol: float = 1e-12) -> np.ndarray:
-    """Singular values of a rectangular matrix, descending.
+def gram_logdet(Z) -> np.ndarray:
+    """log det(I + Z Z^H) for each matrix of a (k, m, n) stack.
 
-    One-sided Jacobi: rotate column pairs of the tall orientation until all
-    pairwise inner products vanish relative to the column norms; the
-    singular values are then the column norms.  Raises ConvergenceFailure
-    if the sweep cap is reached first.
+    The per-draw statistic of the samplers: one stacked Cholesky, accurate
+    while the singular values of Z stay below ~1e8.  The densities take the
+    same quantity from singular values, which holds for any finite Z.
     """
-    M = _as_matrix(B, "B")
-    if M.shape[0] < M.shape[1]:
-        M = M.conj().T
-    cols = M.shape[1]
-    complex_input = np.iscomplexobj(M)
-    converged = cols < 2
-    for _ in range(max_sweeps):
-        worst = 0.0
-        for p in range(cols - 1):
-            for q in range(p + 1, cols):
-                app = float(np.vdot(M[:, p], M[:, p]).real)
-                aqq = float(np.vdot(M[:, q], M[:, q]).real)
-                apq = complex(np.vdot(M[:, p], M[:, q]))
-                if app == 0.0 or aqq == 0.0:
-                    continue
-                rel = abs(apq) / math.sqrt(app * aqq)
-                worst = max(worst, rel)
-                if rel <= tol:
-                    continue
-                # rotate a phase out of column q so the pair inner product
-                # becomes real and nonnegative before the plane rotation
-                if complex_input:
-                    vq = M[:, q] * np.conj(apq / abs(apq))
-                else:
-                    vq = M[:, q] if apq.real >= 0.0 else -M[:, q]
-                alpha = abs(apq)
-                theta = 0.5 * math.atan2(2.0 * alpha, aqq - app)
-                co, si = math.cos(theta), math.sin(theta)
-                new_p = co * M[:, p] - si * vq
-                new_q = si * M[:, p] + co * vq
-                M[:, p] = new_p
-                M[:, q] = new_q
-        if worst <= tol:
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceFailure(f"column orthogonalization stalled after {max_sweeps} sweeps")
-    sigma = np.sqrt(np.sum(np.abs(M) ** 2, axis=0))
-    return np.sort(sigma)[::-1]
+    Z = np.asarray(Z)
+    G = Z @ np.swapaxes(Z.conj(), -1, -2)
+    diag = np.arange(Z.shape[-2])
+    G[..., diag, diag] += 1.0
+    return _cholesky_logdet(G)

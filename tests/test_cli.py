@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -60,6 +61,31 @@ class TestConfigParsing:
     def test_girko_u_length_checked(self):
         with pytest.raises(cli.ConfigError, match="u"):
             cli.parse_config(small_config(kind="girko", n=2, u=[1.0]))
+
+    @pytest.mark.parametrize(
+        ("overrides", "field"),
+        [
+            ({"b_columns": "xy"}, "b_columns"),
+            ({"b_columns": [1, 1]}, "b_columns"),
+            ({"b_columns": [1, 1.5]}, "b_columns"),
+            ({"u": ["a"]}, "u"),
+            ({"kind": "universality", "n": 0, "radial": ["gaussian", "shell:1"]}, "n"),
+            ({"kind": "complex", "n": 0, "radial": ["gaussian", "shell:1"]}, "n"),
+        ],
+    )
+    def test_bad_input_fails_at_parse_time(self, tmp_path, capsys, overrides, field):
+        raw = small_config(**overrides)
+        with pytest.raises(cli.ConfigError, match=f"^{field}:"):
+            cli.parse_config(raw)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+
+    def test_b_columns_accepted(self):
+        cfg = cli.parse_config(small_config(b_columns=[3, 1]))
+        assert cfg.b_columns == (3, 1)
+        assert cli.parse_config(small_config(b_columns=None)).b_columns is None
 
     def test_exactness_needs_n1(self):
         with pytest.raises(cli.ConfigError, match="n"):
@@ -140,9 +166,16 @@ class TestReproducibility:
         assert a.rows != b.rows
 
     def test_thread_cap_changes_nothing(self, monkeypatch):
-        a = cli.run(cli.parse_config(small_config(shards=4)))
-        monkeypatch.setenv("RMTLAB_THREADS", "1")
+        # shards is echoed but starts no worker threads: a run that cannot
+        # start a thread gives the rows of a single-shard run
+        a = cli.run(cli.parse_config(small_config(shards=1)))
+
+        def no_threads(self):
+            raise AssertionError("the runner started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
         b = cli.run(cli.parse_config(small_config(shards=4)))
+        assert b.passed and b.config["shards"] == 4
         assert a.rows == b.rows
 
 
@@ -207,6 +240,12 @@ class TestCommandLine:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["density"] - 1 / math.pi) < 1e-12
+
+    def test_density_at_huge_entries(self, capsys):
+        code = cli.main(["density", "--kind", "universal-real", "--at", "[[1e200],[0]]"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert math.isfinite(payload["log_density"]) and payload["density"] == 0.0
 
     def test_density_matrix_t(self, capsys):
         code = cli.main([

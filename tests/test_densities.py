@@ -71,7 +71,31 @@ class TestUniversalReal:
         assert rep.p_value > 1e-3
 
 
+    def test_finite_at_huge_entries(self):
+        # det(1 + Z Z^T) = 1 + 1e400 overflows when formed; log(1 + 1e400) = 400 log 10
+        big = 400.0 * math.log(10.0)
+        for Z, m, n in (([[1e200], [0.0]], 2, 1), ([[1e200, 0.0], [0.0, 0.0]], 2, 2), ([[1e200, 1e200]], 1, 2)):
+            want = de.log_universal_real_norm(m, n) - 0.5 * (m + n) * (big + (math.log(2.0) if m == 1 else 0.0))
+            assert abs(de.log_universal_real(Z) - want) <= 1e-12 * abs(want)
+
+    def test_matches_gram_cholesky(self):
+        rng = np.random.default_rng(23)
+        for m, n in ((1, 1), (3, 2), (2, 5)):
+            Z = 3.0 * rng.standard_normal((m, n))
+            want = de.log_universal_real_norm(m, n) - 0.5 * (m + n) * matcore.spd_logdet(np.eye(m) + Z @ Z.T)
+            assert abs(de.log_universal_real(Z) - want) < 1e-12 * max(1.0, abs(want))
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            de.log_universal_real([[np.inf], [0.0]])
+
+
 class TestUniversalComplex:
+    def test_finite_at_huge_entries(self):
+        want = de.log_universal_complex_norm(1, 1) - 2.0 * 400.0 * math.log(10.0)
+        assert abs(de.log_universal_complex([[1e200j]]) - want) <= 1e-12 * abs(want)
+
+
     def test_scalar_at_zero(self):
         assert abs(de.log_universal_complex([[0.0]]) - math.log(1 / math.pi)) < 1e-12
 

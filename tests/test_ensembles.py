@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from rmtlab import cli, matcore, stats
 from rmtlab import densities as de
 from rmtlab import ensembles as en
-from rmtlab import matcore, stats
 
 
 def gen(stream=0, seed=20260808):
@@ -187,6 +187,52 @@ class TestSampleZ:
         monkeypatch.setattr(matcore, "NEAR_SINGULAR_RATIO", 1e12)
         with pytest.raises(en.ResampleLimit):
             en.sample_z(en.EnsembleSpec(m=2, n=1), None, gen(17))
+
+
+class TestDrawBlock:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_block_shape_and_bytes(self, field):
+        spec = en.EnsembleSpec(m=3, n=2, field=field, radial=en.UniformBall(2.0))
+        sampler = en.ratio_sampler(spec, en.PartitionSpec([2, 5, 1]))
+        Z, rej = en.draw_block(sampler, gen(41), en.BLOCK)
+        again, rej_again = en.draw_block(sampler, gen(41), en.BLOCK)
+        assert Z.shape == (en.BLOCK, 3, 2) and np.iscomplexobj(Z) == (field == "complex")
+        assert Z.tobytes() == again.tobytes() and rej == rej_again == 0
+        assert en.draw_block(sampler, gen(41), 5)[0].shape == (5, 3, 2)
+        assert not np.array_equal(en.draw_block(sampler, gen(42), en.BLOCK)[0], Z)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize(("m", "n"), [(1, 1), (2, 2), (8, 4)])
+    def test_solves_the_regenerated_draw(self, field, m, n):
+        # a one-draw block consumes the substream exactly like sample_matrix
+        spec = en.EnsembleSpec(m=m, n=n, field=field)
+        Z, rej = en.sample_z(spec, None, gen(43))
+        B, X = en.partition(en.sample_matrix(spec, gen(43)), en.PartitionSpec.leading(m))
+        assert rej == 0 and Z.shape == (m, n)
+        assert np.abs(B @ Z - X).max() <= 1e-10 * np.abs(B).max() * np.abs(Z).max()
+
+    def test_forced_rejections_are_redrawn(self, monkeypatch):
+        # at ratio 0.3 many 2 x 2 B blocks are flagged and redrawn
+        monkeypatch.setattr(matcore, "NEAR_SINGULAR_RATIO", 0.3)
+        sampler = en.ratio_sampler(en.EnsembleSpec(m=2, n=1))
+        Z, rej = en.draw_block(sampler, gen(44), en.BLOCK)
+        assert rej > 0 and Z.shape == (en.BLOCK, 2, 1) and np.isfinite(Z).all()
+        assert en.draw_block(sampler, gen(44), en.BLOCK)[0].tobytes() == Z.tobytes()
+
+    def test_forced_rejections_reproducible_across_shards(self, monkeypatch):
+        monkeypatch.setattr(matcore, "NEAR_SINGULAR_RATIO", 0.3)
+        raw = {"kind": "exactness", "m": 2, "n": 1, "samples": 1000, "seed": 45}
+        one = cli.run(cli.parse_config(dict(raw, shards=1)))
+        three = cli.run(cli.parse_config(dict(raw, shards=3)))
+        assert one.resamples > 0 and one.resamples == three.resamples
+        assert np.isfinite(one.rows).all()
+        assert one.rows == three.rows
+        assert one.to_json().replace('"shards": 1', '"shards": 3') == three.to_json()
+
+    def test_resample_limit_in_a_block(self, monkeypatch):
+        monkeypatch.setattr(matcore, "NEAR_SINGULAR_RATIO", 1e12)
+        with pytest.raises(en.ResampleLimit):
+            en.draw_block(en.ratio_sampler(en.EnsembleSpec(m=2, n=1)), gen(46), en.BLOCK, max_rejects=5)
 
 
 class TestScaleAndPartitionInvariance:

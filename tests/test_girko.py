@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from rmtlab import densities as de
 from rmtlab import ensembles as en
-from rmtlab import girko, stats
+from rmtlab import cli, girko, matcore, stats
 
 
 def gen(stream=0, seed=20260808):
@@ -149,6 +149,34 @@ class TestSampleSolution:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             girko.LinearSystemSpec(m=2, n=1, u=())
+
+
+class TestSystemBlocks:
+    @pytest.mark.parametrize(("m", "n"), [(1, 0), (2, 1), (8, 4)])
+    def test_solves_the_regenerated_system(self, m, n):
+        # a one-draw block consumes the substream exactly like sample_system
+        u = np.linspace(-1.0, 1.0, n)
+        z, rej = girko.sample_solution(girko.LinearSystemSpec(m, n, u), gen(47))
+        A, b = en.sample_system(m, n, en.GaussianEntries(), gen(47))
+        B, X = A[:, :m], A[:, m:]
+        assert rej == 0 and z.shape == (m,)
+        assert np.abs(B @ z - (b - X @ u)).max() <= 1e-10 * np.abs(B).max() * np.abs(z).max()
+
+    def test_stable_block_bytes(self):
+        sampler = girko.stable_sampler(3, 1, (0.5,), girko.StableLaw(alpha=1))
+        z, _ = en.draw_block(sampler, gen(48), en.BLOCK)
+        assert z.shape == (en.BLOCK, 3, 1) and np.isfinite(z).all()
+        assert en.draw_block(sampler, gen(48), en.BLOCK)[0].tobytes() == z.tobytes()
+
+    @pytest.mark.parametrize("kind", ["girko", "girko-stable"])
+    def test_forced_rejections_reproducible_across_shards(self, monkeypatch, kind):
+        monkeypatch.setattr(matcore, "NEAR_SINGULAR_RATIO", 0.3)
+        raw = {"kind": kind, "m": 2, "n": 1, "u": [0.75], "alpha": 2, "samples": 1000, "seed": 49}
+        one = cli.run(cli.parse_config(dict(raw, shards=1)))
+        three = cli.run(cli.parse_config(dict(raw, shards=3)))
+        assert one.resamples > 0 and one.resamples == three.resamples
+        assert all(math.isfinite(v) for row in one.rows for v in row if not isinstance(v, str))
+        assert one.rows == three.rows
 
 
 class TestStableDensityQuadrature:
