@@ -56,7 +56,7 @@ from .girko import (
     solution_sampler,
     stable_sampler,
 )
-from .matcore import LuFactors, lu_factor, lu_solve, solve_multi, spd_logdet
+from .matcore import LuFactors, log_abs_det, lu_factor, lu_solve, solve_multi, spd_logdet
 from .stats import Histogram, KsReport, McEstimate, histogram, ks_one_sample, ks_two_sample, mc_mean
 
 __version__ = "0.1.0"
@@ -91,6 +91,7 @@ __all__ = [
     "histogram",
     "ks_one_sample",
     "ks_two_sample",
+    "log_abs_det",
     "log_matrix_t",
     "log_mdim_cauchy",
     "log_universal_complex",

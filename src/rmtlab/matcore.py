@@ -1,7 +1,7 @@
 """Dense linear algebra kernels for small real and complex matrices.
 
-Solves and Cholesky factorizations go to numpy's LAPACK, stacked over many
-small matrices at once where the samplers need them.  Two pieces stay
+Solves, log-determinants and Cholesky factorizations go to numpy's LAPACK,
+stacked over many small matrices at once where the samplers need them.  Two pieces stay
 written out here: the partial-pivot LU whose pivot magnitudes decide the
 near-singularity rejection rule, vectorized over a stack of matrices, and a
 single-matrix LU with substitution for callers that reuse one
@@ -152,6 +152,13 @@ def solve_multi(B, X, factors: LuFactors | None = None) -> np.ndarray:
     Z = lu_solve(factors, X)
     resid = X - B @ Z
     return Z + lu_solve(factors, resid)
+
+
+def log_abs_det(B) -> tuple[float, complex]:
+    """(log |det B|, sign); the sign has unit modulus, and a singular B
+    gives (-inf, 0), never an exception."""
+    sign, log_abs = np.linalg.slogdet(_as_square(B, "B"))
+    return float(log_abs), sign.item()
 
 
 def _cholesky_logdet(S: np.ndarray) -> np.ndarray:

@@ -8,6 +8,15 @@ import pytest
 from rmtlab import matcore as mc
 
 
+def det3_cofactor(a):
+    """Independent 3x3 determinant oracle by cofactor expansion."""
+    return (
+        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+    )
+
+
 def unpack(f):
     """The L and U triangles packed in an LuFactors."""
     L = np.tril(f.packed, -1)
@@ -95,6 +104,40 @@ class TestSolve:
     def test_singular_propagates(self):
         with pytest.raises(mc.SingularMatrix):
             mc.solve_multi(np.zeros((2, 2)), np.ones((2, 1)))
+
+
+class TestLogAbsDet:
+    def test_diag(self):
+        la, s = mc.log_abs_det(np.diag([2.0, 3.0]))
+        assert abs(la - math.log(6.0)) < 1e-12
+        assert s == 1
+
+    def test_identity(self):
+        la, s = mc.log_abs_det(np.eye(4))
+        assert la == 0.0 and s == 1
+
+    def test_against_cofactor_expansion(self):
+        rng = np.random.default_rng(104)
+        for _ in range(100):
+            B = rng.standard_normal((3, 3))
+            la, s = mc.log_abs_det(B)
+            ref = det3_cofactor(B)
+            assert abs(math.exp(la) - abs(ref)) <= 1e-10 * abs(ref)
+            assert s == math.copysign(1.0, ref)
+
+    def test_singular_encoded_not_raised(self):
+        la, s = mc.log_abs_det(np.zeros((2, 2)))
+        assert la == -math.inf and s == 0
+
+    def test_product_rule(self):
+        rng = np.random.default_rng(105)
+        for _ in range(100):
+            B1 = rng.standard_normal((4, 4))
+            B2 = rng.standard_normal((4, 4))
+            la1, _ = mc.log_abs_det(B1)
+            la2, _ = mc.log_abs_det(B2)
+            la12, _ = mc.log_abs_det(B1 @ B2)
+            assert abs(la12 - la1 - la2) < 1e-8
 
 
 class TestSpdLogdet:
