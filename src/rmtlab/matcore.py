@@ -1,11 +1,12 @@
 """Dense linear algebra kernels for small real and complex matrices.
 
 Solves, log-determinants and Cholesky factorizations go to numpy's LAPACK,
-stacked over many small matrices at once where the samplers need them.  Two pieces stay
-written out here: the partial-pivot LU whose pivot magnitudes decide the
-near-singularity rejection rule, vectorized over a stack of matrices, and a
-single-matrix LU with substitution for callers that reuse one
-factorization.  Determinants are only ever formed in the log domain.
+stacked over many small matrices at once where the samplers need them.
+Two pieces stay written out here: the partial-pivot LU whose pivot
+magnitudes decide the near-singularity rejection rule, vectorized over a
+stack of matrices, and a single-matrix LU with substitution for callers
+that reuse one factorization.  Determinants are only ever formed in the
+log domain.
 """
 
 from __future__ import annotations
