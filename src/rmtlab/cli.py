@@ -163,6 +163,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     laws = raw.get("radial", ["gaussian"])
     if isinstance(laws, str):
         laws = [laws]
+    if not isinstance(laws, (list, tuple)):
+        raise ConfigError(f"radial: expected a descriptor string or a list of them, got {laws!r}")
+    if not laws:
+        raise ConfigError("radial: needs at least one law")
     cfg.radial = tuple(parse_radial(d) for d in laws)
     if raw.get("b_columns") is not None:
         cfg.b_columns = _take_list(raw, "b_columns", operator.index)
@@ -178,8 +182,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     cfg.max_mn = _take(raw, "max_mn", int, cfg.max_mn)
     if cfg.shards < 1:
         raise ConfigError(f"shards: must be >= 1, got {cfg.shards}")
-    if kind != "identities" and cfg.samples < 35 * cfg.shards:
-        raise ConfigError(f"samples: must be >= 35 * shards = {35 * cfg.shards}, got {cfg.samples}")
+    if kind != "identities" and cfg.samples < stats.MIN_SAMPLES:
+        raise ConfigError(f"samples: must be >= {stats.MIN_SAMPLES}, got {cfg.samples}")
+    if kind == "identities" and cfg.max_mn < 1:
+        raise ConfigError(f"max_mn: must be >= 1, got {cfg.max_mn}")
     if cfg.format not in ("json", "csv", "both"):
         raise ConfigError(f"format: must be json, csv or both, got {cfg.format!r}")
     if not 0.0 < cfg.significance < 1.0:
@@ -188,6 +194,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"u: needs {cfg.n} entries to match n, got {len(cfg.u)}")
     if kind == "girko-stable" and cfg.alpha not in (1, 2):
         raise ConfigError(f"alpha: only 1 and 2 are supported, got {cfg.alpha}")
+    if kind == "girko-stable" and not (math.isfinite(cfg.scale) and cfg.scale > 0):
+        raise ConfigError(f"scale: must be finite and positive, got {cfg.scale}")
     if kind == "exactness" and cfg.n != 1:
         raise ConfigError(f"n: exactness compares components to the Cauchy law and needs n = 1, got {cfg.n}")
     if kind == "universality" and len(cfg.radial) < 2:
@@ -346,9 +354,8 @@ def _run_exactness(cfg: ExperimentConfig, report: RunReport) -> None:
     report.columns = [f"z{i + 1}" for i in range(cfg.m)]
     report.rows = rows.tolist()
     threshold = cfg.significance / cfg.m
-    cdf = lambda x: densities.cauchy_cdf(x)  # noqa: E731
     for i in range(cfg.m):
-        ks = stats.ks_one_sample(rows[:, i], cdf, threshold=threshold)
+        ks = stats.ks_one_sample(rows[:, i], densities.cauchy_cdf, threshold=threshold)
         report.entries.append(_ks_entry(f"component-z{i + 1}-vs-cauchy", ks))
 
 
@@ -452,9 +459,7 @@ def _run_girko_stable(cfg: ExperimentConfig, report: RunReport) -> None:
             for x in grid
         )
         report.entries.append(_residual_entry("quadrature-vs-cauchy-grid", worst, 1e-6))
-        cdf = lambda x: densities.cauchy_cdf(x, CauchyParams(0.0, beta))  # noqa: E731
-    else:
-        cdf = lambda x: girko.girko_stable_cdf(x, law, beta)  # noqa: E731
+    cdf = lambda x: girko.girko_stable_cdf(x, law, beta)  # noqa: E731
     ks = stats.ks_one_sample(rows[:, 0], cdf, threshold=cfg.significance)
     report.entries.append(_ks_entry(f"z1-vs-stable-solution-cdf-beta-{beta:g}", ks))
 
@@ -607,7 +612,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_identities(args) -> int:
-    cfg = ExperimentConfig(kind="identities", seed=0, max_mn=args.max)
+    try:
+        cfg = parse_config({"kind": "identities", "max_mn": args.max})
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     report = run(cfg)
     _summarize(report)
     if args.out:

@@ -242,9 +242,9 @@ def cauchy_logpdf(x: float, params: CauchyParams = CauchyParams()) -> float:
     return math.log(params.width) - LOG_PI - math.log(dx * dx + params.width**2)
 
 
-def cauchy_cdf(x: float, params: CauchyParams = CauchyParams()) -> float:
-    """CDF of the Cauchy law: 1/2 + arctan((x - loc)/width)/pi."""
-    return 0.5 + math.atan2(x - params.location, params.width) / math.pi
+def cauchy_cdf(x, params: CauchyParams = CauchyParams()):
+    """CDF of the Cauchy law: 1/2 + arctan((x - loc)/width)/pi, elementwise."""
+    return 0.5 + np.arctan2(np.asarray(x, dtype=float) - params.location, params.width) / math.pi
 
 
 def log_mdim_cauchy(z, beta: float = 1.0) -> float:

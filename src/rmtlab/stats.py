@@ -68,12 +68,18 @@ def _ks_pvalue(d: float, n_effective: float) -> float:
 
 
 def ks_one_sample(data, cdf, threshold: float = 1e-3) -> KsReport:
-    """One-sample Kolmogorov-Smirnov test of data against a model CDF."""
+    """One-sample Kolmogorov-Smirnov test of data against a model CDF.
+
+    cdf is called once, on the whole sorted sample, and must return one
+    value per point (an elementwise numpy expression, for instance).
+    """
     x = np.sort(np.asarray(data, dtype=float))
     n = x.size
     if n < MIN_SAMPLES:
         raise TooFewSamples(f"need at least {MIN_SAMPLES} samples, got {n}")
-    f = np.asarray([cdf(v) for v in x], dtype=float)
+    f = np.asarray(cdf(x), dtype=float)
+    if f.shape != (n,):
+        raise ValueError(f"cdf must map the {n} sorted points to shape ({n},), got {f.shape}")
     grid = np.arange(1, n + 1) / n
     d = float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))
     p = _ks_pvalue(d, n)

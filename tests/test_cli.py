@@ -39,8 +39,10 @@ class TestConfigParsing:
             cli.parse_config(small_config(bogus=1))
 
     def test_samples_shards_floor(self):
-        with pytest.raises(cli.ConfigError, match="samples"):
-            cli.parse_config(small_config(samples=100, shards=4))
+        # shards no longer split the draws, so only the KS floor applies
+        assert cli.parse_config(small_config(samples=100, shards=4)).samples == 100
+        with pytest.raises(cli.ConfigError, match="^samples:"):
+            cli.parse_config(small_config(samples=34))
 
     def test_radial_descriptors(self):
         cfg = cli.parse_config(
@@ -71,6 +73,12 @@ class TestConfigParsing:
             ({"u": ["a"]}, "u"),
             ({"kind": "universality", "n": 0, "radial": ["gaussian", "shell:1"]}, "n"),
             ({"kind": "complex", "n": 0, "radial": ["gaussian", "shell:1"]}, "n"),
+            ({"kind": "girko-stable", "alpha": 1, "u": [0.75], "scale": 0.0}, "scale"),
+            ({"kind": "girko-stable", "alpha": 1, "u": [0.75], "scale": float("nan")}, "scale"),
+            ({"kind": "identities", "max_mn": 0}, "max_mn"),
+            ({"kind": "identities", "max_mn": -3}, "max_mn"),
+            ({"radial": []}, "radial"),
+            ({"radial": 5}, "radial"),
         ],
     )
     def test_bad_input_fails_at_parse_time(self, tmp_path, capsys, overrides, field):
@@ -234,6 +242,10 @@ class TestCommandLine:
         code = cli.main(["identities", "--max", "6"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_identities_empty_grid_exit_two(self, capsys):
+        assert cli.main(["identities", "--max", "0"]) == 2
+        assert "config error: max_mn:" in capsys.readouterr().err
 
     def test_density_command(self, capsys):
         code = cli.main(["density", "--kind", "universal-real", "--at", "[[0.0]]"])

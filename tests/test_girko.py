@@ -233,7 +233,40 @@ class TestStableCdf:
         law = girko.StableLaw(alpha=2)
         for z in np.linspace(-5, 5, 11):
             got = girko.girko_stable_cdf(float(z), law, 1.25)
-            assert abs(got - de.cauchy_cdf(float(z), de.CauchyParams(0.0, 1.25))) < 1e-8
+            assert abs(got - girko._girko_stable_cdf_quad(float(z), law, 1.25)) < 1e-8
+
+    def test_alpha1_closed_form_matches_quadrature(self):
+        # the adaptive reference is itself good to about 3e-8
+        pos = np.geomspace(1e-8, 1e6, 43)
+        zs = np.concatenate([-pos[::-1], pos])
+        for c in (0.5, 2.0):
+            law = girko.StableLaw(alpha=1, c=c)
+            for beta in (1.0, 1.75, 2.0):
+                got = girko.girko_stable_cdf(zs, law, beta)
+                want = np.array([girko._girko_stable_cdf_quad(float(z), law, beta) for z in zs])
+                assert np.max(np.abs(got - want)) < 1e-7
+
+    def test_alpha1_exact_values(self):
+        # I(1) = chi_2(1) = pi^2 / 8 puts zeta = +-beta at the quartiles
+        for c in (0.5, 2.0):
+            law = girko.StableLaw(alpha=1, c=c)
+            for beta in (1.0, 1.75):
+                assert abs(girko.girko_stable_cdf(0.0, law, beta) - 0.5) < 1e-15
+                assert abs(girko.girko_stable_cdf(beta, law, beta) - 0.75) < 1e-15
+                assert abs(girko.girko_stable_cdf(-beta, law, beta) - 0.25) < 1e-15
+                assert girko.girko_stable_cdf(math.inf, law, beta) == 1.0
+                assert girko.girko_stable_cdf(-math.inf, law, beta) == 0.0
+
+    def test_array_call_equals_scalar_calls(self):
+        zs = np.tan(math.pi * (gen(41).random((7, 11)) - 0.5))
+        zs[0, :4] = (0.0, 1.75, -1.75, 1e-300)
+        for alpha in (1, 2):
+            law = girko.StableLaw(alpha=alpha)
+            got = girko.girko_stable_cdf(zs, law, 1.75)
+            assert got.shape == zs.shape
+            scalar = [girko.girko_stable_cdf(float(z), law, 1.75) for z in zs.ravel()]
+            assert all(isinstance(v, float) for v in scalar)
+            assert np.array_equal(got.ravel(), np.array(scalar))
 
     def test_limits_and_symmetry(self):
         law = girko.StableLaw(alpha=1)

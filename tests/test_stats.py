@@ -10,7 +10,7 @@ from rmtlab.densities import cauchy_cdf
 
 
 def uniform_cdf(x):
-    return min(1.0, max(0.0, x))
+    return np.clip(x, 0.0, 1.0)
 
 
 class TestKsOneSample:
@@ -42,6 +42,13 @@ class TestKsOneSample:
     def test_too_few_samples(self):
         with pytest.raises(stats.TooFewSamples):
             stats.ks_one_sample(np.zeros(34), uniform_cdf)
+
+    def test_cdf_of_wrong_shape_rejected(self):
+        data = np.linspace(0.1, 0.9, 100)
+        with pytest.raises(ValueError, match="shape"):
+            stats.ks_one_sample(data, lambda x: 0.5)
+        with pytest.raises(ValueError, match="shape"):
+            stats.ks_one_sample(data, lambda x: uniform_cdf(x)[:-1])
 
     def test_unsorted_input_accepted(self):
         rng = np.random.default_rng(3)
@@ -84,7 +91,7 @@ class TestKsProperties:
         data = rng.random(5000)
         base = stats.ks_one_sample(data, uniform_cdf)
         transformed = stats.ks_one_sample(
-            np.exp(data), lambda y: uniform_cdf(math.log(y)) if y > 0 else 0.0
+            np.exp(data), lambda y: uniform_cdf(np.log(np.maximum(y, np.finfo(float).tiny)))
         )
         assert abs(base.statistic - transformed.statistic) < 1e-12
 
