@@ -165,7 +165,7 @@ def log_matrix_t(Z, params: TDistParams) -> float:
     logdet_sigma = matcore.spd_logdet(params.Sigma)
     logdet_omega = matcore.spd_logdet(params.Omega)
     K = Z - params.M
-    # W = K Omega^-1 K^T through the Cholesky factor of Omega
+    # W = K Omega^-1 K^T by one LAPACK solve
     W = K @ matcore.solve_multi(params.Omega, K.T)
     core = matcore.spd_logdet(params.Sigma + 0.5 * (W + W.T)) - logdet_sigma
     return (

@@ -74,8 +74,8 @@ class StableLaw:
     def __post_init__(self):
         if self.alpha not in (1, 2):
             raise ValueError(f"only alpha in {{1, 2}} has a closed-form density, got {self.alpha}")
-        if not self.c > 0:
-            raise ValueError(f"scale must be positive, got {self.c}")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"scale must be finite and positive, got {self.c}")
 
     def pdf(self, x: float) -> float:
         if self.alpha == 2:

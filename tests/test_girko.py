@@ -220,6 +220,11 @@ class TestStableDensityQuadrature:
         with pytest.raises(ValueError):
             girko.StableLaw(alpha=3)
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan, 0.0, -1.0])
+    def test_scale_must_be_finite_and_positive(self, c):
+        with pytest.raises(ValueError, match="scale"):
+            girko.StableLaw(alpha=1, c=c)
+
 
 class TestStableCdf:
     def test_matches_density_by_differentiation(self):
