@@ -2,9 +2,11 @@
 
 Experiments are described by a flat JSON config (kind, dimensions, radial
 laws, sample count, seed, ...).  Sampling is split into fixed-size blocks of
-draws, each drawn and solved at once; block b of arm a always consumes the
-substream keyed by (seed, a, b), so the pooled sample is bit-identical for
-a given seed whatever the shard count in the config.  Reports are emitted as
+draws; block b of arm a always consumes the substream keyed by (seed, a, b),
+so the pooled sample is bit-identical for a given seed whatever the shard
+count in the config.  Eight consecutive blocks are drawn, flagged, solved
+and reduced to report rows in one stacked kernel call, which draws exactly
+what eight one-block calls would.  Reports are emitted as
 schema-stable JSON (byte-identical across reruns of the same config+seed)
 and as CSV holding the raw per-draw statistics for external plotting.
 """
@@ -37,6 +39,13 @@ from .ensembles import (
 
 KINDS = ("universality", "exactness", "girko", "girko-stable", "identities", "complex")
 DENSITY_KINDS = ("universal-real", "universal-complex", "matrix-t", "girko")
+# Substream blocks drawn, flagged and solved per stacked kernel call: long
+# enough to amortise numpy's per-call overhead, fixed so that a call's memory
+# does not grow with samples.  Draws do not depend on it.
+RUN_BLOCKS = 8
+# Largest m, n and samples a config may ask for; README gives the reasons.
+MAX_DIM = 64
+MAX_SAMPLES = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -156,10 +165,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(kind=kind, seed=seed)
     cfg.m = _take(raw, "m", int, cfg.m)
     cfg.n = _take(raw, "n", int, cfg.n)
-    if cfg.m < 1:
-        raise ConfigError(f"m: must be >= 1, got {cfg.m}")
-    if cfg.n < 0:
-        raise ConfigError(f"n: must be >= 0, got {cfg.n}")
+    if not 1 <= cfg.m <= MAX_DIM:
+        raise ConfigError(f"m: must lie in 1..{MAX_DIM}, got {cfg.m}")
+    if not 0 <= cfg.n <= MAX_DIM:
+        raise ConfigError(f"n: must lie in 0..{MAX_DIM}, got {cfg.n}")
     laws = raw.get("radial", ["gaussian"])
     if isinstance(laws, str):
         laws = [laws]
@@ -184,6 +193,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"shards: must be >= 1, got {cfg.shards}")
     if kind != "identities" and cfg.samples < stats.MIN_SAMPLES:
         raise ConfigError(f"samples: must be >= {stats.MIN_SAMPLES}, got {cfg.samples}")
+    if cfg.samples > MAX_SAMPLES:
+        raise ConfigError(f"samples: must be <= {MAX_SAMPLES}, got {cfg.samples}")
     if kind == "identities" and cfg.max_mn < 1:
         raise ConfigError(f"max_mn: must be >= 1, got {cfg.max_mn}")
     if cfg.format not in ("json", "csv", "both"):
@@ -224,6 +235,7 @@ class RunReport:
     columns: list = field(default_factory=list)
     rows: list = field(default_factory=list)
     wall_time_s: float = 0.0  # console only; excluded from emitted files
+    arm_resamples: list = field(default_factory=list)  # per arm; console only, like wall_time_s
 
     @property
     def passed(self) -> bool:
@@ -276,24 +288,31 @@ def _residual_entry(name: str, value: float, tolerance: float) -> dict:
 # block sampling
 
 
-def _pooled_rows(cfg: ExperimentConfig, arm: int, sampler: ensembles.SystemSampler,
-                 row_of) -> tuple[np.ndarray, int]:
-    """Stack row_of(Z) over cfg.samples solved systems -> (rows, resamples).
+def _pooled_rows(cfg: ExperimentConfig, report: RunReport, arm: int,
+                 sampler: ensembles.SystemSampler, row_of) -> np.ndarray:
+    """Stack row_of(Z) over cfg.samples solved systems of one arm.
 
     Block b of this arm always draws its BLOCK systems from the substream
     (seed, arm << 32 | b), so the pooled rows depend on the seed alone.
-    row_of maps a block's (k, m, c) solution stack to its k report rows; it
-    runs per block so that only the rows, never all solutions, are pooled.
+    RUN_BLOCKS consecutive blocks share one stacked kernel call, and row_of
+    maps that call's (k, m, c) solution stack to its k report rows, so only
+    the rows, never all solutions, are pooled.  The arm's rejections are
+    added to the report.
     """
     n = cfg.samples
+    n_blocks = -(-n // BLOCK)
     rows = []
     rejected = 0
-    for b, start in enumerate(range(0, n, BLOCK)):
-        gen = RngStream(cfg.seed, (arm << 32) | b).generator()
-        Z, rej = ensembles.draw_block(sampler, gen, min(BLOCK, n - start))
+    for first in range(0, n_blocks, RUN_BLOCKS):
+        chunk = range(first, min(first + RUN_BLOCKS, n_blocks))
+        gens = [RngStream(cfg.seed, (arm << 32) | b).generator() for b in chunk]
+        sizes = [min(BLOCK, n - b * BLOCK) for b in chunk]
+        Z, rej = ensembles.draw_blocks(sampler, gens, sizes)
         rows.append(row_of(Z))
         rejected += rej
-    return np.concatenate(rows), rejected
+    report.resamples += rejected
+    report.arm_resamples.append(rejected)
+    return np.concatenate(rows)
 
 
 def _first_column(Z: np.ndarray) -> np.ndarray:
@@ -349,8 +368,7 @@ def _run_identities(cfg: ExperimentConfig, report: RunReport) -> None:
 
 def _run_exactness(cfg: ExperimentConfig, report: RunReport) -> None:
     spec = EnsembleSpec(m=cfg.m, n=1, field="real", radial=cfg.radial[0])
-    rows, rej = _pooled_rows(cfg, 0, ensembles.ratio_sampler(spec, _partition(cfg)), _first_column)
-    report.resamples += rej
+    rows = _pooled_rows(cfg, report, 0, ensembles.ratio_sampler(spec, _partition(cfg)), _first_column)
     report.columns = [f"z{i + 1}" for i in range(cfg.m)]
     report.rows = rows.tolist()
     threshold = cfg.significance / cfg.m
@@ -359,7 +377,7 @@ def _run_exactness(cfg: ExperimentConfig, report: RunReport) -> None:
         report.entries.append(_ks_entry(f"component-z{i + 1}-vs-cauchy", ks))
 
 
-def _universality_statistics(cfg: ExperimentConfig, field: str) -> tuple[list, int, list[str]]:
+def _universality_statistics(cfg: ExperimentConfig, report: RunReport, field: str) -> tuple[list, list[str]]:
     """Per-arm draws of (log det gram statistic, first entry statistic)."""
 
     def statistics(Z):
@@ -368,18 +386,14 @@ def _universality_statistics(cfg: ExperimentConfig, field: str) -> tuple[list, i
         return np.column_stack([matcore.gram_logdet(Z), first])
 
     arms = []
-    total_rej = 0
     for a, law in enumerate(cfg.radial):
         spec = EnsembleSpec(m=cfg.m, n=cfg.n, field=field, radial=law)
-        rows, rej = _pooled_rows(cfg, a, ensembles.ratio_sampler(spec, _partition(cfg)), statistics)
-        total_rej += rej
-        arms.append(rows)
-    return arms, total_rej, [radial_label(r) for r in cfg.radial]
+        arms.append(_pooled_rows(cfg, report, a, ensembles.ratio_sampler(spec, _partition(cfg)), statistics))
+    return arms, [radial_label(r) for r in cfg.radial]
 
 
 def _run_universality(cfg: ExperimentConfig, report: RunReport) -> None:
-    arms, rej, labels = _universality_statistics(cfg, "real")
-    report.resamples += rej
+    arms, labels = _universality_statistics(cfg, report, "real")
     report.columns = ["radial", "logdet_gram", "z11"]
     for label, rows in zip(labels, arms):
         report.rows.extend([label, *r] for r in rows.tolist())
@@ -392,8 +406,7 @@ def _run_universality(cfg: ExperimentConfig, report: RunReport) -> None:
 
 
 def _run_complex(cfg: ExperimentConfig, report: RunReport) -> None:
-    arms, rej, labels = _universality_statistics(cfg, "complex")
-    report.resamples += rej
+    arms, labels = _universality_statistics(cfg, report, "complex")
     report.columns = ["radial", "logdet_gram", "abs_z11_sq"]
     for label, rows in zip(labels, arms):
         report.rows.extend([label, *r] for r in rows.tolist())
@@ -420,9 +433,7 @@ def _run_girko(cfg: ExperimentConfig, report: RunReport) -> None:
     labels = [radial_label(r) for r in cfg.radial]
     for a, law in enumerate(cfg.radial):
         spec = girko.LinearSystemSpec(m=cfg.m, n=cfg.n, u=cfg.u, radial=law)
-        rows, rej = _pooled_rows(cfg, a, girko.solution_sampler(spec), _first_column)
-        report.resamples += rej
-        arms.append(rows)
+        arms.append(_pooled_rows(cfg, report, a, girko.solution_sampler(spec), _first_column))
     report.columns = ["radial"] + [f"z{i + 1}" for i in range(cfg.m)]
     for label, rows in zip(labels, arms):
         report.rows.extend([label, *r] for r in rows.tolist())
@@ -446,8 +457,7 @@ def _run_girko_stable(cfg: ExperimentConfig, report: RunReport) -> None:
     law = girko.StableLaw(alpha=cfg.alpha, c=cfg.scale)
     beta = girko.beta_alpha(cfg.u, cfg.alpha)
 
-    rows, rej = _pooled_rows(cfg, 0, girko.stable_sampler(cfg.m, cfg.n, cfg.u, law), _first_column)
-    report.resamples += rej
+    rows = _pooled_rows(cfg, report, 0, girko.stable_sampler(cfg.m, cfg.n, cfg.u, law), _first_column)
     report.columns = [f"z{i + 1}" for i in range(cfg.m)]
     report.rows = rows.tolist()
     if cfg.alpha == 2:
@@ -569,9 +579,10 @@ def _summarize(report: RunReport, stream=None) -> None:
             detail = f"value={e.get('value')}"
         print(f"[{mark}] {e['name']}: {detail}", file=stream)
     verdict = "PASS" if report.passed else "FAIL"
+    per_arm = f" (per arm: {', '.join(map(str, report.arm_resamples))})" if report.arm_resamples else ""
     print(
         f"{verdict}: {len(report.entries) - len(report.failing)}/{len(report.entries)} checks"
-        f" in {report.wall_time_s:.2f} s, {report.resamples} resamples",
+        f" in {report.wall_time_s:.2f} s, {report.resamples} resamples{per_arm}",
         file=stream,
     )
 

@@ -239,6 +239,41 @@ class SystemSampler:
     split: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
+def draw_blocks(
+    sampler: SystemSampler,
+    gens: list[np.random.Generator],
+    sizes: list[int],
+    max_rejects: int = 100,
+) -> tuple[np.ndarray, int]:
+    """Draw consecutive blocks of systems and solve them all: (Z, rejections).
+
+    Block i is sizes[i] systems drawn from gens[i].  The blocks are stacked
+    and flagged in one matcore.near_singular call.  Each block then redraws
+    its numerically singular systems from its own generator, in block
+    order, all its flagged rows in one call, until none is flagged; the
+    rejections are counted.  Raises ResampleLimit once a row is flagged
+    max_rejects times in a row.  Z = B^-1 R comes from one stacked LAPACK
+    solve and has shape (sum(sizes), m, c).  Every draw and every count is
+    what separate calls per block would give.
+    """
+    B, R = sampler.split(np.concatenate([sampler.draw(g, k) for g, k in zip(gens, sizes)]))
+    flagged = np.flatnonzero(matcore.near_singular(B))
+    rejects = 0
+    if flagged.size:  # usually empty; grouping by block costs more than a small block's flag
+        block_of = np.searchsorted(np.cumsum(sizes), flagged, side="right")
+        for i in np.unique(block_of):  # the blocks with flagged rows, in block order
+            rows = flagged[block_of == i]
+            streak = 0  # every row still flagged has been flagged in each round so far
+            while rows.size:
+                streak += 1
+                rejects += rows.size
+                if streak >= max_rejects:
+                    raise ResampleLimit(f"{streak} consecutive near-singular draws")
+                B[rows], R[rows] = sampler.split(sampler.draw(gens[i], rows.size))
+                rows = rows[matcore.near_singular(B[rows])]
+    return np.linalg.solve(B, R), rejects
+
+
 def draw_block(
     sampler: SystemSampler,
     rng: np.random.Generator,
@@ -247,24 +282,9 @@ def draw_block(
 ) -> tuple[np.ndarray, int]:
     """Draw k systems from rng and solve them all: (Z stack, rejections).
 
-    Systems whose B block is numerically singular (matcore.near_singular)
-    are redrawn from the same generator, all flagged rows in one call, until
-    none is flagged; the rejections are counted.  Raises ResampleLimit once
-    a row is flagged max_rejects times in a row.  Z = B^-1 R comes from one
-    stacked LAPACK solve and has shape (k, m, c).
+    The one-block call of draw_blocks: Z has shape (k, m, c).
     """
-    B, R = sampler.split(sampler.draw(rng, k))
-    flagged = np.flatnonzero(matcore.near_singular(B))
-    rejects = 0
-    streak = 0  # every row still flagged has been flagged in each round so far
-    while flagged.size:
-        streak += 1
-        rejects += flagged.size
-        if streak >= max_rejects:
-            raise ResampleLimit(f"{streak} consecutive near-singular draws")
-        B[flagged], R[flagged] = sampler.split(sampler.draw(rng, flagged.size))
-        flagged = flagged[matcore.near_singular(B[flagged])]
-    return np.linalg.solve(B, R), rejects
+    return draw_blocks(sampler, [rng], [k], max_rejects)
 
 
 def ratio_sampler(spec: EnsembleSpec, p: PartitionSpec | None = None) -> SystemSampler:

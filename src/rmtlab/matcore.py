@@ -40,21 +40,26 @@ def near_singular(B) -> np.ndarray:
     process.  Exact zero pivots, NaN pivots and non-finite entries are
     flagged instead of raising.
     """
-    A = np.array(B, dtype=np.result_type(B, np.float64))
+    A = np.asarray(B, dtype=np.result_type(B, np.float64))
     k, m, _ = A.shape
+    if m == 1:  # the one pivot is the entry itself: min = max = |b|
+        a = np.abs(A[:, 0, 0])
+        return ~(a > NEAR_SINGULAR_RATIO * a)
+    A = A.copy()
     rows = np.arange(k)
     pivots = np.empty((k, m))
-    for j in range(m):
-        p = j + np.argmax(np.abs(A[:, j:, j]), axis=1)
-        top = A[rows, j].copy()
-        A[rows, j] = A[rows, p]
-        A[rows, p] = top
-        d = A[:, j, j]
-        pivots[:, j] = np.abs(d)
-        if j + 1 < m:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mult = A[:, j + 1:, j] / d[:, None]
-                A[:, j + 1:, j + 1:] -= mult[:, :, None] * A[:, j, None, j + 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(m - 1):
+            # columns left of j are never read again, so only j: is swapped
+            p = j + np.argmax(np.abs(A[:, j:, j]), axis=1)
+            top = A[:, j, j:].copy()
+            A[:, j, j:] = A[rows, p, j:]
+            A[rows, p, j:] = top
+            d = A[:, j, j]
+            pivots[:, j] = np.abs(d)
+            mult = A[:, j + 1:, j] / d[:, None]
+            A[:, j + 1:, j + 1:] -= mult[:, :, None] * A[:, j, None, j + 1:]
+    pivots[:, -1] = np.abs(A[:, -1, -1])  # the last step has one candidate row
     return ~(pivots.min(axis=-1) > NEAR_SINGULAR_RATIO * pivots.max(axis=-1))
 
 

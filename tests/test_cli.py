@@ -1,8 +1,10 @@
 """Tests for the experiment runner, report emission, and command line."""
 
+import io
 import json
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +81,9 @@ class TestConfigParsing:
             ({"kind": "identities", "max_mn": -3}, "max_mn"),
             ({"radial": []}, "radial"),
             ({"radial": 5}, "radial"),
+            ({"m": 65}, "m"),
+            ({"kind": "universality", "n": 65, "radial": ["gaussian", "shell:1"]}, "n"),
+            ({"samples": 10**7 + 1}, "samples"),
         ],
     )
     def test_bad_input_fails_at_parse_time(self, tmp_path, capsys, overrides, field):
@@ -89,6 +94,22 @@ class TestConfigParsing:
         cfg_path.write_text(json.dumps(raw))
         assert cli.main(["run", str(cfg_path)]) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
+
+    def test_upper_bounds_accepted(self):
+        assert cli.parse_config(small_config(m=64, samples=10**7)).samples == 10**7
+        cfg = cli.parse_config(small_config(kind="universality", n=64, radial=["gaussian", "shell:1"]))
+        assert cfg.n == 64
+
+    def test_shipped_configs_parse(self):
+        # the benchmark workloads and the README example stay inside the bounds
+        root = Path(__file__).resolve().parent.parent
+        workloads = json.loads((root / "perfbench" / "workloads.json").read_text())["workloads"]
+        raws = [dict(raw, seed=1) for w in workloads.values() for raw in w["configs"]]
+        readme = (root / "README.md").read_text()
+        raws += [json.loads(block.split("```")[0]) for block in readme.split("```json\n")[1:]]
+        assert len(raws) > 11
+        for raw in raws:
+            cli.parse_config(raw)
 
     def test_b_columns_accepted(self):
         cfg = cli.parse_config(small_config(b_columns=[3, 1]))
@@ -205,6 +226,25 @@ class TestEmission:
         cli.emit(report, "json", str(tmp_path / "empty"))
         payload = json.loads((tmp_path / "empty.json").read_text())
         assert payload["entries"] == [] and payload["n_entries"] == 0
+
+    def test_rejections_per_arm_on_console_only(self, monkeypatch):
+        # at ratio 0.3 every arm rejects draws; the counts reach the console
+        # and leave the JSON as it was
+        raw = small_config(kind="universality", n=2, samples=200, radial=["gaussian", "shell:1", "ball:3"])
+        report = cli.run(cli.parse_config(raw))
+        payload = report.to_json()
+        assert report.arm_resamples == [0, 0, 0]
+        report.arm_resamples = [4, 5, 6]
+        assert report.to_json() == payload
+        monkeypatch.setattr(cli.matcore, "NEAR_SINGULAR_RATIO", 0.3)
+        report = cli.run(cli.parse_config(raw))
+        assert len(report.arm_resamples) == 3 and min(report.arm_resamples) > 0
+        assert sum(report.arm_resamples) == report.resamples
+        assert "arm_resamples" not in report.to_json()
+        out = io.StringIO()
+        cli._summarize(report, out)
+        per_arm = ", ".join(map(str, report.arm_resamples))
+        assert f"{report.resamples} resamples (per arm: {per_arm})" in out.getvalue()
 
     def test_byte_identical_files(self, tmp_path):
         cfg_dict = small_config()

@@ -175,6 +175,17 @@ class TestNearSingularStack:
         assert mc.near_singular(B).tolist() == [False, True, True, True]
         assert [reference_flag(b) for b in B] == [False, True, True, True]
 
+    def test_one_by_one_stack(self, monkeypatch):
+        # at m = 1 the only pivot is the entry: flagged iff it is 0, inf or NaN
+        b = [0.0, np.inf, -np.inf, np.nan, 1e-300, 5e-324, -2.5, 1e300, 0.7]
+        B = np.array(b).reshape(-1, 1, 1)
+        want = [True, True, True, True, False, False, False, False, False]
+        for ratio in (mc.NEAR_SINGULAR_RATIO, 0.3):
+            monkeypatch.setattr(mc, "NEAR_SINGULAR_RATIO", ratio)
+            assert mc.near_singular(B).tolist() == want
+            assert mc.near_singular(B * (1 - 1j)).tolist() == want
+            assert [reference_flag(x) for x in B] == want
+
 
 class TestGramLogdet:
     def test_matches_spd_logdet(self):
