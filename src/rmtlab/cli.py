@@ -6,7 +6,10 @@ draws; block b of arm a always consumes the substream keyed by (seed, a, b),
 so the pooled sample is bit-identical for a given seed whatever the shard
 count in the config.  Eight consecutive blocks are drawn, flagged, solved
 and reduced to report rows in one stacked kernel call, which draws exactly
-what eight one-block calls would.  Reports are emitted as
+what eight one-block calls would.  Suites that compare radial laws
+(universality and complex, one suite for both fields, and girko) pool one
+arm per law through _arms; every sampled suite passes each of its KS tests
+at significance over their count through _check.  Reports are emitted as
 schema-stable JSON (byte-identical across reruns of the same config+seed)
 and as CSV holding the raw per-draw statistics for external plotting.
 """
@@ -46,6 +49,7 @@ RUN_BLOCKS = 8
 # Largest m, n and samples a config may ask for; README gives the reasons.
 MAX_DIM = 64
 MAX_SAMPLES = 10_000_000
+MAX_MN = 20  # largest identities grid; beyond it a Gaussian determinant integral overflows
 
 
 class ConfigError(ValueError):
@@ -195,8 +199,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"samples: must be >= {stats.MIN_SAMPLES}, got {cfg.samples}")
     if cfg.samples > MAX_SAMPLES:
         raise ConfigError(f"samples: must be <= {MAX_SAMPLES}, got {cfg.samples}")
-    if kind == "identities" and cfg.max_mn < 1:
-        raise ConfigError(f"max_mn: must be >= 1, got {cfg.max_mn}")
+    if kind == "identities" and not 1 <= cfg.max_mn <= MAX_MN:
+        raise ConfigError(f"max_mn: must lie in 1..{MAX_MN}, got {cfg.max_mn}")
     if cfg.format not in ("json", "csv", "both"):
         raise ConfigError(f"format: must be json, csv or both, got {cfg.format!r}")
     if not 0.0 < cfg.significance < 1.0:
@@ -209,8 +213,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"scale: must be finite and positive, got {cfg.scale}")
     if kind == "exactness" and cfg.n != 1:
         raise ConfigError(f"n: exactness compares components to the Cauchy law and needs n = 1, got {cfg.n}")
-    if kind == "universality" and len(cfg.radial) < 2:
-        raise ConfigError("radial: universality needs at least two laws to compare")
+    if kind in ("universality", "complex") and len(cfg.radial) < 2 and (kind, cfg.m, cfg.n) != ("complex", 1, 1):
+        raise ConfigError(f"radial: {kind} at m = {cfg.m}, n = {cfg.n} needs at least two laws to compare")
+    if kind == "exactness" and len(cfg.radial) > 1:
+        raise ConfigError(f"radial: exactness samples one law, got {len(cfg.radial)}")
+    if kind == "girko-stable" and "radial" in raw:
+        raise ConfigError("radial: girko-stable draws i.i.d. stable entries and takes no radial law")
     if kind in ("universality", "complex") and cfg.n < 1:
         raise ConfigError(f"n: {kind} draws m x n block ratios and needs n >= 1, got {cfg.n}")
     if not all(math.isfinite(x) for x in cfg.u):
@@ -323,6 +331,33 @@ def _partition(cfg: ExperimentConfig) -> PartitionSpec:
     return PartitionSpec(cfg.b_columns) if cfg.b_columns else PartitionSpec.leading(cfg.m)
 
 
+def _arms(cfg: ExperimentConfig, report: RunReport, sampler_of, row_of) -> tuple[list[str], list[np.ndarray]]:
+    """Pool one arm per radial law, in law order, and return (labels, arms).
+
+    Arm a draws its systems from sampler_of(cfg.radial[a]) and reduces them
+    with row_of, as _pooled_rows does; its rows are appended to the report,
+    each led by the arm's law label.
+    """
+    labels = [radial_label(r) for r in cfg.radial]
+    arms = [_pooled_rows(cfg, report, a, sampler_of(law), row_of) for a, law in enumerate(cfg.radial)]
+    for label, rows in zip(labels, arms):
+        report.rows.extend([label, *r] for r in rows.tolist())
+    return labels, arms
+
+
+def _check(cfg: ExperimentConfig, report: RunReport, one: list, two: list) -> None:
+    """Run one-sample tests (name, data, cdf), then two-sample tests (name, a, b).
+
+    Bonferroni: each passes at cfg.significance over the number of tests, so a
+    suite whose laws all hold fails with probability at most cfg.significance.
+    """
+    threshold = cfg.significance / (len(one) + len(two))
+    for name, data, cdf in one:
+        report.entries.append(_ks_entry(name, stats.ks_one_sample(data, cdf, threshold=threshold)))
+    for name, a, b in two:
+        report.entries.append(_ks_entry(name, stats.ks_two_sample(a, b, threshold=threshold)))
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -371,86 +406,48 @@ def _run_exactness(cfg: ExperimentConfig, report: RunReport) -> None:
     rows = _pooled_rows(cfg, report, 0, ensembles.ratio_sampler(spec, _partition(cfg)), _first_column)
     report.columns = [f"z{i + 1}" for i in range(cfg.m)]
     report.rows = rows.tolist()
-    threshold = cfg.significance / cfg.m
-    for i in range(cfg.m):
-        ks = stats.ks_one_sample(rows[:, i], densities.cauchy_cdf, threshold=threshold)
-        report.entries.append(_ks_entry(f"component-z{i + 1}-vs-cauchy", ks))
-
-
-def _universality_statistics(cfg: ExperimentConfig, report: RunReport, field: str) -> tuple[list, list[str]]:
-    """Per-arm draws of (log det gram statistic, first entry statistic)."""
-
-    def statistics(Z):
-        z11 = Z[:, 0, 0]
-        first = np.abs(z11) ** 2 if field == "complex" else z11
-        return np.column_stack([matcore.gram_logdet(Z), first])
-
-    arms = []
-    for a, law in enumerate(cfg.radial):
-        spec = EnsembleSpec(m=cfg.m, n=cfg.n, field=field, radial=law)
-        arms.append(_pooled_rows(cfg, report, a, ensembles.ratio_sampler(spec, _partition(cfg)), statistics))
-    return arms, [radial_label(r) for r in cfg.radial]
+    one = [(f"component-z{i + 1}-vs-cauchy", rows[:, i], densities.cauchy_cdf) for i in range(cfg.m)]
+    _check(cfg, report, one, [])
 
 
 def _run_universality(cfg: ExperimentConfig, report: RunReport) -> None:
-    arms, labels = _universality_statistics(cfg, report, "real")
-    report.columns = ["radial", "logdet_gram", "z11"]
-    for label, rows in zip(labels, arms):
-        report.rows.extend([label, *r] for r in rows.tolist())
-    pairs = [(i, j) for i in range(len(arms)) for j in range(i + 1, len(arms))]
-    threshold = cfg.significance / (2 * len(pairs))
-    for i, j in pairs:
-        for col, statname in ((0, "logdet-gram"), (1, "entry-z11")):
-            ks = stats.ks_two_sample(arms[i][:, col], arms[j][:, col], threshold=threshold)
-            report.entries.append(_ks_entry(f"{statname}:{labels[i]}-vs-{labels[j]}", ks))
+    """Gram log-det and first entry of Z across the laws, for real or complex parents.
 
+    For complex parents the entry is |z11|^2, whose CDF at m = n = 1 is s/(1+s).
+    """
+    is_complex = cfg.kind == "complex"
 
-def _run_complex(cfg: ExperimentConfig, report: RunReport) -> None:
-    arms, labels = _universality_statistics(cfg, report, "complex")
-    report.columns = ["radial", "logdet_gram", "abs_z11_sq"]
-    for label, rows in zip(labels, arms):
-        report.rows.extend([label, *r] for r in rows.tolist())
-    n_tests = 0
-    if cfg.m == 1 and cfg.n == 1:
-        n_tests += len(arms)
+    def statistics(Z):
+        z11 = Z[:, 0, 0]
+        return np.column_stack([matcore.gram_logdet(Z), np.abs(z11) ** 2 if is_complex else z11])
+
+    labels, arms = _arms(cfg, report, lambda law: ensembles.ratio_sampler(EnsembleSpec(
+        m=cfg.m, n=cfg.n, field="complex" if is_complex else "real", radial=law), _partition(cfg)), statistics)
+    report.columns = ["radial", "logdet_gram", "abs_z11_sq" if is_complex else "z11"]
+    one = []
+    if is_complex and cfg.m == cfg.n == 1:
+        one = [(f"modulus-sq-cdf:{label}", rows[:, 1], lambda s: s / (1.0 + s)) for label, rows in zip(labels, arms)]
     pairs = [(i, j) for i in range(len(arms)) for j in range(i + 1, len(arms))]
-    n_tests += 2 * len(pairs)
-    threshold = cfg.significance / max(1, n_tests)
-    if cfg.m == 1 and cfg.n == 1:
-        # |z|^2 has the exact CDF s/(1+s)
-        for label, rows in zip(labels, arms):
-            ks = stats.ks_one_sample(rows[:, 1], lambda s: s / (1.0 + s), threshold=threshold)
-            report.entries.append(_ks_entry(f"modulus-sq-cdf:{label}", ks))
-    for i, j in pairs:
-        for col, statname in ((0, "logdet-gram"), (1, "modulus-sq")):
-            ks = stats.ks_two_sample(arms[i][:, col], arms[j][:, col], threshold=threshold)
-            report.entries.append(_ks_entry(f"{statname}:{labels[i]}-vs-{labels[j]}", ks))
+    tests = ((0, "logdet-gram"), (1, "modulus-sq" if is_complex else "entry-z11"))
+    two = [(f"{statname}:{labels[i]}-vs-{labels[j]}", arms[i][:, col], arms[j][:, col])
+           for i, j in pairs for col, statname in tests]
+    _check(cfg, report, one, two)
 
 
 def _run_girko(cfg: ExperimentConfig, report: RunReport) -> None:
     beta = girko.beta_euclidean(cfg.u)
-    arms = []
-    labels = [radial_label(r) for r in cfg.radial]
-    for a, law in enumerate(cfg.radial):
-        spec = girko.LinearSystemSpec(m=cfg.m, n=cfg.n, u=cfg.u, radial=law)
-        arms.append(_pooled_rows(cfg, report, a, girko.solution_sampler(spec), _first_column))
+    labels, arms = _arms(cfg, report, lambda law: girko.solution_sampler(
+        girko.LinearSystemSpec(m=cfg.m, n=cfg.n, u=cfg.u, radial=law)), _first_column)
     report.columns = ["radial"] + [f"z{i + 1}" for i in range(cfg.m)]
-    for label, rows in zip(labels, arms):
-        report.rows.extend([label, *r] for r in rows.tolist())
-    pairs = [(i, j) for i in range(len(arms)) for j in range(i + 1, len(arms))]
-    n_tests = len(arms) * (2 if cfg.m >= 2 else 1) + len(pairs)
-    threshold = cfg.significance / n_tests
     cauchy_beta = CauchyParams(0.0, beta)
+    one = []
     for label, rows in zip(labels, arms):
-        ks = stats.ks_one_sample(rows[:, 0], lambda x: densities.cauchy_cdf(x, cauchy_beta), threshold=threshold)
-        report.entries.append(_ks_entry(f"z1-vs-cauchy-width-{beta:g}:{label}", ks))
+        one.append((f"z1-vs-cauchy-width-{beta:g}:{label}", rows[:, 0],
+                    lambda x: densities.cauchy_cdf(x, cauchy_beta)))
         if cfg.m >= 2:
-            ratio = rows[:, 0] / rows[:, 1]
-            ks = stats.ks_one_sample(ratio, densities.cauchy_cdf, threshold=threshold)
-            report.entries.append(_ks_entry(f"ratio-z1-z2-vs-cauchy:{label}", ks))
-    for i, j in pairs:
-        ks = stats.ks_two_sample(arms[i][:, 0], arms[j][:, 0], threshold=threshold)
-        report.entries.append(_ks_entry(f"z1:{labels[i]}-vs-{labels[j]}", ks))
+            one.append((f"ratio-z1-z2-vs-cauchy:{label}", rows[:, 0] / rows[:, 1], densities.cauchy_cdf))
+    pairs = [(i, j) for i in range(len(arms)) for j in range(i + 1, len(arms))]
+    _check(cfg, report, one, [(f"z1:{labels[i]}-vs-{labels[j]}", arms[i][:, 0], arms[j][:, 0]) for i, j in pairs])
 
 
 def _run_girko_stable(cfg: ExperimentConfig, report: RunReport) -> None:
@@ -470,15 +467,14 @@ def _run_girko_stable(cfg: ExperimentConfig, report: RunReport) -> None:
         )
         report.entries.append(_residual_entry("quadrature-vs-cauchy-grid", worst, 1e-6))
     cdf = lambda x: girko.girko_stable_cdf(x, law, beta)  # noqa: E731
-    ks = stats.ks_one_sample(rows[:, 0], cdf, threshold=cfg.significance)
-    report.entries.append(_ks_entry(f"z1-vs-stable-solution-cdf-beta-{beta:g}", ks))
+    _check(cfg, report, [(f"z1-vs-stable-solution-cdf-beta-{beta:g}", rows[:, 0], cdf)], [])
 
 
 _SUITES = {
     "identities": _run_identities,
     "exactness": _run_exactness,
     "universality": _run_universality,
-    "complex": _run_complex,
+    "complex": _run_universality,
     "girko": _run_girko,
     "girko-stable": _run_girko_stable,
 }
@@ -587,19 +583,16 @@ def _summarize(report: RunReport, stream=None) -> None:
     )
 
 
-def _cmd_run(args) -> int:
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-        return 2
+def _execute(raw: dict, args) -> int:
+    """Run the config raw with the flags set in args laid over it.
+
+    Prints the verdicts, writes the report when an out path is set and
+    returns the exit code: 0 if every check passed, 1 if one failed, 2 for a
+    bad config or a report that cannot be written.
+    """
     for key in ("seed", "shards", "out", "format"):
-        value = getattr(args, key)
-        if value is not None:
+        value = getattr(args, key, None)
+        if value is not None and isinstance(raw, dict):
             raw[key] = value
     try:
         cfg = parse_config(raw)
@@ -622,18 +615,21 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_identities(args) -> int:
+def _cmd_run(args) -> int:
     try:
-        cfg = parse_config({"kind": "identities", "max_mn": args.max})
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        with open(args.config, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    report = run(cfg)
-    _summarize(report)
-    if args.out:
-        for path in emit(report, args.format, args.out):
-            print(f"wrote {path}")
-    return 0 if report.passed else 1
+    except json.JSONDecodeError as exc:
+        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
+        return 2
+    return _execute(raw, args)
+
+
+def _cmd_identities(args) -> int:
+    return _execute({"kind": "identities", "max_mn": args.max}, args)
 
 
 def _cmd_density(args) -> int:

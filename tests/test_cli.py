@@ -84,6 +84,11 @@ class TestConfigParsing:
             ({"m": 65}, "m"),
             ({"kind": "universality", "n": 65, "radial": ["gaussian", "shell:1"]}, "n"),
             ({"samples": 10**7 + 1}, "samples"),
+            ({"kind": "identities", "max_mn": 21}, "max_mn"),
+            # a suite that would check nothing, or ignore some of its laws
+            ({"kind": "complex", "radial": ["gaussian"]}, "radial"),
+            ({"radial": ["gaussian", "shell:1"]}, "radial"),
+            ({"kind": "girko-stable", "alpha": 1, "u": [0.75], "radial": ["gaussian"]}, "radial"),
         ],
     )
     def test_bad_input_fails_at_parse_time(self, tmp_path, capsys, overrides, field):
@@ -99,6 +104,12 @@ class TestConfigParsing:
         assert cli.parse_config(small_config(m=64, samples=10**7)).samples == 10**7
         cfg = cli.parse_config(small_config(kind="universality", n=64, radial=["gaussian", "shell:1"]))
         assert cfg.n == 64
+        assert cli.parse_config({"kind": "identities", "max_mn": 20}).max_mn == 20
+
+    def test_complex_scalar_takes_one_law(self):
+        # at m = n = 1 each arm is tested against the exact |z|^2 law
+        cfg = cli.parse_config(small_config(kind="complex", m=1, radial=["gaussian"]))
+        assert cfg.radial == (GaussianEntries(),)
 
     def test_shipped_configs_parse(self):
         # the benchmark workloads and the README example stay inside the bounds
@@ -166,6 +177,30 @@ class TestSuites:
         cfg = cli.parse_config(small_config(kind="girko-stable", u=[0.75], alpha=2))
         report = cli.run(cfg)
         assert report.passed
+
+    @pytest.mark.parametrize(
+        ("overrides", "n_ks"),
+        [
+            ({"m": 3}, 3),
+            ({"kind": "universality", "n": 2, "radial": ["gaussian", "shell:1", "ball:3"]}, 6),
+            ({"kind": "complex", "m": 1, "radial": ["gaussian", "shell:1"]}, 4),
+            ({"kind": "complex", "radial": ["gaussian", "shell:1"]}, 2),
+            ({"kind": "girko", "m": 1, "u": [0.75], "radial": ["gaussian", "shell:2"]}, 3),
+            ({"kind": "girko", "u": [0.75], "radial": ["gaussian", "shell:2"]}, 5),
+            ({"kind": "girko-stable", "u": [0.75], "alpha": 1}, 1),
+            ({"kind": "girko-stable", "u": [0.75], "alpha": 2}, 1),
+        ],
+    )
+    def test_one_bonferroni_rule(self, overrides, n_ks):
+        # every KS entry passes at significance over the number of KS entries;
+        # residual entries do not count
+        report = cli.run(cli.parse_config(small_config(samples=100, significance=0.01, **overrides)))
+        ks = [e for e in report.entries if e["kind"] in ("ks1", "ks2")]
+        assert len(ks) == n_ks
+        assert all(e["threshold"] == 0.01 / n_ks for e in ks)
+        residuals = [e for e in report.entries if e["kind"] == "residual"]
+        assert len(residuals) == (overrides.get("alpha") == 2)
+        assert len(report.entries) == n_ks + len(residuals)
 
     def test_suite_error_lands_in_report(self):
         cfg = cli.parse_config(small_config())
@@ -286,6 +321,25 @@ class TestCommandLine:
     def test_identities_empty_grid_exit_two(self, capsys):
         assert cli.main(["identities", "--max", "0"]) == 2
         assert "config error: max_mn:" in capsys.readouterr().err
+
+    def test_identities_grid_past_float_range_exit_two(self, capsys):
+        # beyond m, n = 20 the Gaussian determinant integral overflows a float
+        assert cli.main(["identities", "--max", "21"]) == 2
+        assert "config error: max_mn:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "identities"])
+    def test_unwritable_report_exit_two(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(samples=100)))
+        argv = ["run", str(cfg_path)] if command == "run" else ["identities", "--max", "2"]
+        assert cli.main(argv + ["--out", str(tmp_path / "missing" / "x")]) == 2
+        assert "error: cannot write report" in capsys.readouterr().err
+
+    def test_non_object_config_with_flags_exit_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1, 2]")
+        assert cli.main(["run", str(cfg_path), "--seed", "3"]) == 2
+        assert "config error: config:" in capsys.readouterr().err
 
     def test_density_command(self, capsys):
         code = cli.main(["density", "--kind", "universal-real", "--at", "[[0.0]]"])
