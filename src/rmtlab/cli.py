@@ -9,9 +9,12 @@ and reduced to report rows in one stacked kernel call, which draws exactly
 what eight one-block calls would.  Suites that compare radial laws
 (universality and complex, one suite for both fields, and girko) pool one
 arm per law through _arms; every sampled suite passes each of its KS tests
-at significance over their count through _check.  Reports are emitted as
-schema-stable JSON (byte-identical across reruns of the same config+seed)
-and as CSV holding the raw per-draw statistics for external plotting.
+at significance over their count through _check.  A report keeps its rows
+as one 2-D array, one row per draw, with the law label of each row beside
+it for suites that pool arms.  Reports are emitted as schema-stable JSON
+(byte-identical across reruns of the same config+seed) and as CSV holding
+the raw per-draw statistics for external plotting, written column by column
+EMIT_ROWS rows at a time.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ DENSITY_KINDS = ("universal-real", "universal-complex", "matrix-t", "girko")
 # enough to amortise numpy's per-call overhead, fixed so that a call's memory
 # does not grow with samples.  Draws do not depend on it.
 RUN_BLOCKS = 8
+# CSV rows formatted per write: fixed, so the writer holds one chunk's strings
+# whatever the number of draws.  The bytes do not depend on it.
+EMIT_ROWS = 4096
 # Largest m, n and samples a config may ask for; README gives the reasons.
 MAX_DIM = 64
 MAX_SAMPLES = 10_000_000
@@ -152,14 +158,27 @@ def _take_list(raw: dict, key: str, item) -> tuple:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+# The kinds that read each kind-specific field.  Every kind reads kind, seed,
+# significance, shards, out and format.
+_SAMPLED = tuple(k for k in KINDS if k != "identities")
+_READ_BY = {
+    "m": _SAMPLED,
+    "n": _SAMPLED,
+    "samples": _SAMPLED,
+    "radial": ("universality", "exactness", "girko", "complex"),  # girko-stable entries are i.i.d. stable
+    "b_columns": ("universality", "exactness", "complex"),
+    "u": ("girko", "girko-stable"),
+    "alpha": ("girko-stable",),
+    "scale": ("girko-stable",),
+    "max_mn": ("identities",),
+}
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a flat config dict; errors name the offending field."""
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object with flat keys")
-    unknown = set(raw) - {
-        "kind", "seed", "m", "n", "radial", "b_columns", "u", "alpha", "scale",
-        "samples", "shards", "out", "format", "significance", "max_mn",
-    }
+    unknown = set(raw) - {"kind", "seed", "shards", "out", "format", "significance", *_READ_BY}
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown field")
     kind = _take(raw, "kind", str, required=True)
@@ -217,8 +236,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"radial: {kind} at m = {cfg.m}, n = {cfg.n} needs at least two laws to compare")
     if kind == "exactness" and len(cfg.radial) > 1:
         raise ConfigError(f"radial: exactness samples one law, got {len(cfg.radial)}")
-    if kind == "girko-stable" and "radial" in raw:
-        raise ConfigError("radial: girko-stable draws i.i.d. stable entries and takes no radial law")
     if kind in ("universality", "complex") and cfg.n < 1:
         raise ConfigError(f"n: {kind} draws m x n block ratios and needs n >= 1, got {cfg.n}")
     if not all(math.isfinite(x) for x in cfg.u):
@@ -228,6 +245,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
             ensembles._partition_indices(cfg.b_columns, cfg.m, cfg.m + cfg.n)
         except ensembles.BadPartition as exc:
             raise ConfigError(f"b_columns: {exc}") from None
+    for key in raw:
+        if kind not in _READ_BY.get(key, KINDS):
+            raise ConfigError(f"{key}: the {kind} suite does not read this field")
     return cfg
 
 
@@ -241,7 +261,8 @@ class RunReport:
     entries: list = field(default_factory=list)
     resamples: int = 0
     columns: list = field(default_factory=list)
-    rows: list = field(default_factory=list)
+    rows: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))  # 2-D: a row per draw (identities: per m, n)
+    row_labels: list = field(default_factory=list)  # CSV column before rows, one per row; not in payload()
     wall_time_s: float = 0.0  # console only; excluded from emitted files
     arm_resamples: list = field(default_factory=list)  # per arm; console only, like wall_time_s
 
@@ -304,16 +325,18 @@ def _pooled_rows(cfg: ExperimentConfig, report: RunReport, arm: int,
     (seed, arm << 32 | b), so the pooled rows depend on the seed alone.
     RUN_BLOCKS consecutive blocks share one stacked kernel call, and row_of
     maps that call's (k, m, c) solution stack to its k report rows, so only
-    the rows, never all solutions, are pooled.  The arm's rejections are
-    added to the report.
+    the rows, never all solutions, are pooled.  The call's RUN_BLOCKS
+    generators are reset to each next call's substreams, not rebuilt.  The
+    arm's rejections are added to the report.
     """
     n = cfg.samples
     n_blocks = -(-n // BLOCK)
     rows = []
     rejected = 0
+    gens = [None] * RUN_BLOCKS
     for first in range(0, n_blocks, RUN_BLOCKS):
         chunk = range(first, min(first + RUN_BLOCKS, n_blocks))
-        gens = [RngStream(cfg.seed, (arm << 32) | b).generator() for b in chunk]
+        gens = [RngStream(cfg.seed, (arm << 32) | b).generator(g) for b, g in zip(chunk, gens)]
         sizes = [min(BLOCK, n - b * BLOCK) for b in chunk]
         Z, rej = ensembles.draw_blocks(sampler, gens, sizes)
         rows.append(row_of(Z))
@@ -335,14 +358,16 @@ def _arms(cfg: ExperimentConfig, report: RunReport, sampler_of, row_of) -> tuple
     """Pool one arm per radial law, in law order, and return (labels, arms).
 
     Arm a draws its systems from sampler_of(cfg.radial[a]) and reduces them
-    with row_of, as _pooled_rows does; its rows are appended to the report,
-    each led by the arm's law label.
+    with row_of, as _pooled_rows does.  The report's rows are the arms in
+    order, each row labelled with its arm's law; the arms returned are views
+    of them.
     """
     labels = [radial_label(r) for r in cfg.radial]
-    arms = [_pooled_rows(cfg, report, a, sampler_of(law), row_of) for a, law in enumerate(cfg.radial)]
-    for label, rows in zip(labels, arms):
-        report.rows.extend([label, *r] for r in rows.tolist())
-    return labels, arms
+    report.rows = np.concatenate([_pooled_rows(cfg, report, a, sampler_of(law), row_of)
+                                  for a, law in enumerate(cfg.radial)])
+    for label in labels:
+        report.row_labels += [label] * cfg.samples
+    return labels, np.split(report.rows, len(labels))
 
 
 def _check(cfg: ExperimentConfig, report: RunReport, one: list, two: list) -> None:
@@ -364,6 +389,7 @@ def _check(cfg: ExperimentConfig, report: RunReport, one: list, two: list) -> No
 
 def _run_identities(cfg: ExperimentConfig, report: RunReport) -> None:
     report.columns = ["m", "n", "gamma_residual", "norm_consistency", "det_consistency"]
+    rows = []
     for m in range(1, cfg.max_mn + 1):
         for n in range(1, cfg.max_mn + 1):
             gamma_res = densities.gamma_identity_residual(m, n)
@@ -388,7 +414,8 @@ def _run_identities(cfg: ExperimentConfig, report: RunReport) -> None:
             report.entries.append(
                 _residual_entry(f"det-consistency:m={m},n={n}", det_res, 1e-10)
             )
-            report.rows.append([m, n, gamma_res, consistency, det_res])
+            rows.append([m, n, gamma_res, consistency, det_res])
+    report.rows = np.array(rows, dtype=object)  # object, so m and n print as ints
     for m in range(1, cfg.max_mn + 1):
         v = densities.ortho_volume(m)
         report.entries.append(
@@ -405,7 +432,7 @@ def _run_exactness(cfg: ExperimentConfig, report: RunReport) -> None:
     spec = EnsembleSpec(m=cfg.m, n=1, field="real", radial=cfg.radial[0])
     rows = _pooled_rows(cfg, report, 0, ensembles.ratio_sampler(spec, _partition(cfg)), _first_column)
     report.columns = [f"z{i + 1}" for i in range(cfg.m)]
-    report.rows = rows.tolist()
+    report.rows = rows
     one = [(f"component-z{i + 1}-vs-cauchy", rows[:, i], densities.cauchy_cdf) for i in range(cfg.m)]
     _check(cfg, report, one, [])
 
@@ -456,7 +483,7 @@ def _run_girko_stable(cfg: ExperimentConfig, report: RunReport) -> None:
 
     rows = _pooled_rows(cfg, report, 0, girko.stable_sampler(cfg.m, cfg.n, cfg.u, law), _first_column)
     report.columns = [f"z{i + 1}" for i in range(cfg.m)]
-    report.rows = rows.tolist()
+    report.rows = rows
     if cfg.alpha == 2:
         # closed form available: quadrature must agree with the Cauchy law
         grid = np.linspace(-3.0 * beta, 3.0 * beta, 10)
@@ -503,7 +530,9 @@ def emit(report: RunReport, fmt: str, out: str) -> list[str]:
 
     JSON is schema-stable with fixed key order and excludes wall time, so
     identical config+seed reproduces identical bytes.  CSV holds the raw
-    per-draw statistics, one row per draw.
+    per-draw statistics, one row per draw, led by the row's label in suites
+    that have them; it is formatted column by column and written EMIT_ROWS
+    rows at a time.
     """
     paths = []
     base = out[:-5] if out.endswith(".json") else out
@@ -516,8 +545,11 @@ def emit(report: RunReport, fmt: str, out: str) -> list[str]:
         path = base + ".csv"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(report.columns) + "\n")
-            for row in report.rows:
-                fh.write(",".join(str(v) for v in row) + "\n")
+            for first in range(0, len(report.rows), EMIT_ROWS):
+                columns = [map(str, col) for col in report.rows[first:first + EMIT_ROWS].T.tolist()]
+                if report.row_labels:
+                    columns.insert(0, report.row_labels[first:first + EMIT_ROWS])
+                fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
         paths.append(path)
     return paths
 

@@ -137,9 +137,25 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
-    def generator(self) -> np.random.Generator:
+    def generator(self, reuse: np.random.Generator | None = None) -> np.random.Generator:
+        """A Philox generator at the start of this stream.
+
+        Given reuse, a generator this method returned before, reset it to the
+        start of this stream and return it instead: the same draws, without a
+        new Philox, which numpy seeds from OS entropy before setting its key.
+        """
         key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        if reuse is None:
+            return np.random.Generator(np.random.Philox(key=key))
+        reuse.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64), "key": key},
+            "buffer": np.zeros(4, np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return reuse
 
 
 def sample_unit_direction(d: int, rng: np.random.Generator) -> np.ndarray:

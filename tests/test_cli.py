@@ -19,6 +19,33 @@ def small_config(**overrides):
     return raw
 
 
+def per_row_csv(report) -> bytes:
+    """The CSV as a per-row loop writes it: a label first where the suite has them."""
+    rows = report.rows.tolist()
+    if report.row_labels:
+        assert len(report.row_labels) == len(rows)
+        rows = [[label, *r] for label, r in zip(report.row_labels, rows)]
+    return "".join(",".join(str(v) for v in row) + "\n" for row in [report.columns, *rows]).encode()
+
+
+def emitted_csv(report, tmp_path) -> bytes:
+    return Path(cli.emit(report, "csv", str(tmp_path / "report"))[0]).read_bytes()
+
+
+# a small valid config of every kind; labelled kinds pool two arms of 2100
+# draws, so their table spans two chunks and the arm boundary falls in the first
+EVERY_KIND = {
+    "exactness": {"kind": "exactness", "m": 3, "n": 1, "samples": 300, "seed": 5},
+    "universality": {"kind": "universality", "m": 2, "n": 2, "samples": 2100, "seed": 5,
+                     "radial": ["gaussian", "shell:1"]},
+    "complex": {"kind": "complex", "m": 1, "n": 1, "samples": 2100, "seed": 5, "radial": ["gaussian", "ball:2"]},
+    "girko": {"kind": "girko", "m": 2, "n": 1, "u": [0.75], "samples": 2100, "seed": 5,
+              "radial": ["gaussian", "shell:2"]},
+    "girko-stable": {"kind": "girko-stable", "m": 2, "n": 1, "u": [0.75], "alpha": 1, "samples": 300, "seed": 5},
+    "identities": {"kind": "identities", "max_mn": 3},
+}
+
+
 class TestConfigParsing:
     def test_roundtrip(self):
         cfg = cli.parse_config(small_config())
@@ -89,6 +116,16 @@ class TestConfigParsing:
             ({"kind": "complex", "radial": ["gaussian"]}, "radial"),
             ({"radial": ["gaussian", "shell:1"]}, "radial"),
             ({"kind": "girko-stable", "alpha": 1, "u": [0.75], "radial": ["gaussian"]}, "radial"),
+            # a field the kind never reads, which the report would echo
+            ({"kind": "identities", "max_mn": 2}, "m"),
+            ({"max_mn": 500}, "max_mn"),
+            ({"u": [1, 2]}, "u"),
+            ({"alpha": 7}, "alpha"),
+            ({"scale": 2.0}, "scale"),
+            ({"kind": "girko", "u": [0.5], "radial": ["gaussian", "shell:1"], "b_columns": [1, 2]}, "b_columns"),
+            ({"kind": "girko", "u": [0.5], "radial": ["gaussian", "shell:1"], "alpha": 2}, "alpha"),
+            ({"kind": "universality", "radial": ["gaussian", "shell:1"], "u": [0.5]}, "u"),
+            ({"kind": "girko-stable", "u": [0.5], "b_columns": [1, 2]}, "b_columns"),
         ],
     )
     def test_bad_input_fails_at_parse_time(self, tmp_path, capsys, overrides, field):
@@ -126,6 +163,16 @@ class TestConfigParsing:
         cfg = cli.parse_config(small_config(b_columns=[3, 1]))
         assert cfg.b_columns == (3, 1)
         assert cli.parse_config(small_config(b_columns=None)).b_columns is None
+
+    @pytest.mark.parametrize("kind", list(EVERY_KIND))
+    def test_shared_fields_valid_for_every_kind(self, kind):
+        raw = dict(EVERY_KIND[kind], seed=3, significance=1e-4, shards=2, out="x", format="both")
+        assert cli.parse_config(raw).echo()["shards"] == 2
+
+    def test_identities_refuses_sampling_fields(self):
+        for key, value in [("samples", 7), ("n", 1), ("radial", ["gaussian", "shell:1"])]:
+            with pytest.raises(cli.ConfigError, match=f"^{key}: the identities suite does not read"):
+                cli.parse_config({"kind": "identities", "max_mn": 2, key: value})
 
     def test_exactness_needs_n1(self):
         with pytest.raises(cli.ConfigError, match="n"):
@@ -219,7 +266,7 @@ class TestReproducibility:
     def test_shard_count_changes_nothing(self):
         a = cli.run(cli.parse_config(small_config(shards=1)))
         b = cli.run(cli.parse_config(small_config(shards=8)))
-        assert a.rows == b.rows
+        assert np.array_equal(a.rows, b.rows)
         a_entries = json.dumps(a.entries, sort_keys=True)
         b_entries = json.dumps(b.entries, sort_keys=True)
         assert a_entries == b_entries
@@ -227,7 +274,7 @@ class TestReproducibility:
     def test_different_seed_differs(self):
         a = cli.run(cli.parse_config(small_config(seed=1)))
         b = cli.run(cli.parse_config(small_config(seed=2)))
-        assert a.rows != b.rows
+        assert not np.array_equal(a.rows, b.rows)
 
     def test_thread_cap_changes_nothing(self, monkeypatch):
         # shards is echoed but starts no worker threads: a run that cannot
@@ -240,7 +287,7 @@ class TestReproducibility:
         monkeypatch.setattr(threading.Thread, "start", no_threads)
         b = cli.run(cli.parse_config(small_config(shards=4)))
         assert b.passed and b.config["shards"] == 4
-        assert a.rows == b.rows
+        assert np.array_equal(a.rows, b.rows)
 
 
 class TestEmission:
@@ -280,6 +327,41 @@ class TestEmission:
         cli._summarize(report, out)
         per_arm = ", ".join(map(str, report.arm_resamples))
         assert f"{report.resamples} resamples (per arm: {per_arm})" in out.getvalue()
+
+    @pytest.mark.parametrize("kind", list(EVERY_KIND))
+    def test_csv_matches_per_row_writer(self, tmp_path, kind):
+        report = cli.run(cli.parse_config(EVERY_KIND[kind]))
+        assert report.passed
+        assert (len(report.rows) > cli.EMIT_ROWS) == (kind in ("universality", "complex", "girko"))
+        assert emitted_csv(report, tmp_path) == per_row_csv(report)
+
+    def test_identities_dimensions_print_as_integers(self, tmp_path):
+        report = cli.run(cli.parse_config({"kind": "identities", "max_mn": 1}))
+        assert emitted_csv(report, tmp_path).decode().splitlines()[1].startswith("1,1,")
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_csv_across_the_chunk_edge(self, tmp_path, extra):
+        rows = np.random.default_rng(extra + 2).standard_cauchy((cli.EMIT_ROWS + extra, 3))
+        report = cli.RunReport(config={}, columns=["a", "b", "c"], rows=rows)
+        csv = emitted_csv(report, tmp_path)
+        assert csv == per_row_csv(report) and csv.count(b"\n") == 1 + len(rows)
+
+    def test_labelled_csv_with_arm_boundary_inside_a_chunk(self, tmp_path):
+        first, second = cli.EMIT_ROWS // 2 + 1, cli.EMIT_ROWS
+        rows = np.random.default_rng(9).standard_normal((first + second, 2))
+        report = cli.RunReport(config={}, columns=["radial", "x", "y"], rows=rows,
+                               row_labels=["gaussian"] * first + ["shell:1"] * second)
+        csv = emitted_csv(report, tmp_path)
+        assert csv == per_row_csv(report)
+        lines = csv.decode().splitlines()
+        assert lines[first].startswith("gaussian,") and lines[first + 1].startswith("shell:1,")
+
+    def test_csv_of_special_values(self, tmp_path):
+        rows = np.array([[-0.0, 1e-05, 1e16], [np.inf, -np.inf, np.nan], [0.1, 1.0, -2.5e-300]])
+        report = cli.RunReport(config={}, columns=["a", "b", "c"], rows=rows)
+        csv = emitted_csv(report, tmp_path)
+        assert csv == per_row_csv(report)
+        assert csv.splitlines()[1:3] == [b"-0.0,1e-05,1e+16", b"inf,-inf,nan"]
 
     def test_byte_identical_files(self, tmp_path):
         cfg_dict = small_config()

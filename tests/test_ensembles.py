@@ -227,7 +227,7 @@ class TestDrawBlock:
         three = cli.run(cli.parse_config(dict(raw, shards=3)))
         assert one.resamples > 0 and one.resamples == three.resamples
         assert np.isfinite(one.rows).all()
-        assert one.rows == three.rows
+        assert np.array_equal(one.rows, three.rows)
         assert one.to_json().replace('"shards": 1', '"shards": 3') == three.to_json()
 
     def test_resample_limit_in_a_block(self, monkeypatch):
