@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import sys
 import time
 from dataclasses import dataclass, field
@@ -56,6 +55,7 @@ EMIT_ROWS = 4096
 MAX_DIM = 64
 MAX_SAMPLES = 10_000_000
 MAX_MN = 20  # largest identities grid; beyond it a Gaussian determinant integral overflows
+MAX_SEED = 2**64 - 1  # Philox keys on 64 bits, so a wider seed would alias a narrower one
 
 
 class ConfigError(ValueError):
@@ -137,6 +137,20 @@ class ExperimentConfig:
         }
 
 
+def _integer(value) -> int:
+    """An integer field's value: bools and numbers with a fraction are refused, never cut."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    """A real field's value: bools are refused, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _take(raw: dict, key: str, kind, default=None, required: bool = False):
     if key not in raw:
         if required:
@@ -184,10 +198,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     kind = _take(raw, "kind", str, required=True)
     if kind not in KINDS:
         raise ConfigError(f"kind: must be one of {KINDS}, got {kind!r}")
-    seed = _take(raw, "seed", int, required=(kind != "identities"), default=0)
+    seed = _take(raw, "seed", _integer, required=(kind != "identities"), default=0)
+    if not 0 <= seed <= MAX_SEED:
+        raise ConfigError(f"seed: must lie in 0..2**64 - 1, got {seed}")
     cfg = ExperimentConfig(kind=kind, seed=seed)
-    cfg.m = _take(raw, "m", int, cfg.m)
-    cfg.n = _take(raw, "n", int, cfg.n)
+    cfg.m = _take(raw, "m", _integer, cfg.m)
+    cfg.n = _take(raw, "n", _integer, cfg.n)
     if not 1 <= cfg.m <= MAX_DIM:
         raise ConfigError(f"m: must lie in 1..{MAX_DIM}, got {cfg.m}")
     if not 0 <= cfg.n <= MAX_DIM:
@@ -201,17 +217,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("radial: needs at least one law")
     cfg.radial = tuple(parse_radial(d) for d in laws)
     if raw.get("b_columns") is not None:
-        cfg.b_columns = _take_list(raw, "b_columns", operator.index)
+        cfg.b_columns = _take_list(raw, "b_columns", _integer)
     if "u" in raw:
-        cfg.u = _take_list(raw, "u", float)
-    cfg.alpha = _take(raw, "alpha", int, cfg.alpha)
-    cfg.scale = _take(raw, "scale", float, cfg.scale)
-    cfg.samples = _take(raw, "samples", int, cfg.samples)
-    cfg.shards = _take(raw, "shards", int, cfg.shards)
+        cfg.u = _take_list(raw, "u", _real)
+    cfg.alpha = _take(raw, "alpha", _integer, cfg.alpha)
+    cfg.scale = _take(raw, "scale", _real, cfg.scale)
+    cfg.samples = _take(raw, "samples", _integer, cfg.samples)
+    cfg.shards = _take(raw, "shards", _integer, cfg.shards)
     cfg.out = _take(raw, "out", str, cfg.out)
     cfg.format = _take(raw, "format", str, cfg.format)
-    cfg.significance = _take(raw, "significance", float, cfg.significance)
-    cfg.max_mn = _take(raw, "max_mn", int, cfg.max_mn)
+    cfg.significance = _take(raw, "significance", _real, cfg.significance)
+    cfg.max_mn = _take(raw, "max_mn", _integer, cfg.max_mn)
     if cfg.shards < 1:
         raise ConfigError(f"shards: must be >= 1, got {cfg.shards}")
     if kind != "identities" and cfg.samples < stats.MIN_SAMPLES:
@@ -558,23 +574,32 @@ def emit(report: RunReport, fmt: str, out: str) -> list[str]:
 # density evaluation
 
 
-def _parse_point(kind: str, at):
-    if kind == "universal-complex":
+def _parse_point(kind: str, at) -> np.ndarray:
+    """The point at as an array of the shape kind takes; errors name at."""
+    try:
         arr = np.asarray(at, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"at: expected numbers, got {at!r}") from None
+    if kind == "universal-complex":
         if arr.ndim != 3 or arr.shape[2] != 2:
             raise ConfigError("at: complex points use [re, im] pairs, e.g. [[[0.1, 0.2]]]")
         return arr[..., 0] + 1j * arr[..., 1]
-    return np.asarray(at, dtype=float)
+    most = 1 if kind == "girko" else 2  # a solution vector, else a matrix
+    if arr.ndim > most or arr.size == 0:
+        raise ConfigError(f"at: {kind} takes a non-empty array of at most {most} dimensions, got shape {arr.shape}")
+    return arr
 
 
 def density_value(kind: str, params: dict, at) -> float:
     """Evaluate one of the closed-form log densities at a point."""
+    if not isinstance(params, dict):
+        raise ConfigError(f"params: expected a JSON object, got {params!r}")
     if kind == "universal-real":
         return densities.log_universal_real(_parse_point(kind, at))
     if kind == "universal-complex":
         return densities.log_universal_complex(_parse_point(kind, at))
     if kind == "matrix-t":
-        Z = np.atleast_2d(np.asarray(at, dtype=float))
+        Z = np.atleast_2d(_parse_point(kind, at))
         m, n = Z.shape
         p = TDistParams(
             M=np.asarray(params.get("M", np.zeros((m, n))), dtype=float),
@@ -584,8 +609,13 @@ def density_value(kind: str, params: dict, at) -> float:
         )
         return densities.log_matrix_t(Z, p)
     if kind == "girko":
-        u = np.asarray(params.get("u", ()), dtype=float)
-        return girko.girko_logdensity(np.asarray(at, dtype=float), u)
+        try:
+            u = np.asarray(params.get("u", ()), dtype=float)
+        except (TypeError, ValueError):
+            u = None
+        if u is None or u.ndim != 1:
+            raise ConfigError(f"params: u must be a list of numbers, got {params.get('u')!r}")
+        return girko.girko_logdensity(_parse_point(kind, at), u)
     raise ConfigError(f"kind: must be one of {DENSITY_KINDS}, got {kind!r}")
 
 

@@ -3,6 +3,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -44,6 +47,36 @@ EVERY_KIND = {
     "girko-stable": {"kind": "girko-stable", "m": 2, "n": 1, "u": [0.75], "alpha": 1, "samples": 300, "seed": 5},
     "identities": {"kind": "identities", "max_mn": 3},
 }
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """stdout of code run with args in a new interpreter that imports rmtlab from src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return done.stdout
+
+
+class TestImportCost:
+    def test_import_and_parse_load_no_scipy(self):
+        # scipy costs most of the start-up time; only adaptive quadrature needs it
+        code = ("import json, sys\n"
+                "from rmtlab import cli\n"
+                "for raw in json.loads(sys.argv[1]):\n"
+                "    cli.parse_config(raw)\n"
+                "print(json.dumps(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')))\n")
+        assert json.loads(fresh_python(code, json.dumps(list(EVERY_KIND.values())))) == []
+
+    def test_alpha2_quadrature_loads_scipy_on_first_use(self):
+        code = ("import json, sys\n"
+                "from rmtlab import cli\n"
+                "report = cli.run(cli.parse_config(json.loads(sys.argv[1])))\n"
+                "print(json.dumps([report.passed, [e['name'] for e in report.entries],"
+                " 'scipy.integrate' in sys.modules]))\n")
+        raw = dict(EVERY_KIND["girko-stable"], alpha=2)
+        passed, names, loaded = json.loads(fresh_python(code, json.dumps(raw)))
+        assert passed and "quadrature-vs-cauchy-grid" in names and loaded
 
 
 class TestConfigParsing:
@@ -126,6 +159,19 @@ class TestConfigParsing:
             ({"kind": "girko", "u": [0.5], "radial": ["gaussian", "shell:1"], "alpha": 2}, "alpha"),
             ({"kind": "universality", "radial": ["gaussian", "shell:1"], "u": [0.5]}, "u"),
             ({"kind": "girko-stable", "u": [0.5], "b_columns": [1, 2]}, "b_columns"),
+            # integer fields are never truncated, and booleans are not numbers
+            ({"kind": "girko-stable", "alpha": 1.9, "u": [0.75]}, "alpha"),
+            ({"m": 2.7}, "m"),
+            ({"seed": 1.5}, "seed"),
+            ({"m": True}, "m"),
+            ({"samples": 2000.5}, "samples"),
+            ({"shards": 2.5}, "shards"),
+            ({"kind": "identities", "max_mn": 3.5}, "max_mn"),
+            ({"b_columns": [True, 2]}, "b_columns"),
+            ({"kind": "girko", "u": [True], "radial": ["gaussian", "shell:1"]}, "u"),
+            # a seed outside Philox's 64-bit key would alias one inside it
+            ({"seed": 2**64}, "seed"),
+            ({"seed": -1}, "seed"),
         ],
     )
     def test_bad_input_fails_at_parse_time(self, tmp_path, capsys, overrides, field):
@@ -142,6 +188,11 @@ class TestConfigParsing:
         cfg = cli.parse_config(small_config(kind="universality", n=64, radial=["gaussian", "shell:1"]))
         assert cfg.n == 64
         assert cli.parse_config({"kind": "identities", "max_mn": 20}).max_mn == 20
+
+    def test_integral_numbers_and_the_seed_range_accepted(self):
+        cfg = cli.parse_config(small_config(m=3.0, seed=2**64 - 1))
+        assert (cfg.m, cfg.seed) == (3, 2**64 - 1) and type(cfg.m) is int
+        assert cli.parse_config(small_config(seed=0)).seed == 0
 
     def test_complex_scalar_takes_one_law(self):
         # at m = n = 1 each arm is tested against the exact |z|^2 law
@@ -457,6 +508,21 @@ class TestCommandLine:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["density"] - 1 / math.pi) < 1e-12
+
+    @pytest.mark.parametrize(
+        ("argv", "field"),
+        [
+            (["--kind", "girko", "--params", "[1]", "--at", "[1]"], "params"),
+            (["--kind", "girko", "--at", "[[1,2],[3,4]]"], "at"),
+            (["--kind", "girko", "--params", '{"u": [[1]]}', "--at", "[1, 2]"], "params"),
+            (["--kind", "universal-real", "--at", "[[[1]]]"], "at"),
+            (["--kind", "matrix-t", "--at", "[]"], "at"),
+            (["--kind", "universal-real", "--at", '[1, "x"]'], "at"),
+        ],
+    )
+    def test_density_bad_input_exit_two(self, capsys, argv, field):
+        assert cli.main(["density", *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
     def test_failing_run_exit_one(self, tmp_path, capsys):
         # an absurd pass threshold flips a true-null KS verdict to fail

@@ -238,13 +238,10 @@ class TestDrawBlock:
 
 class TestScaleAndPartitionInvariance:
     def statistic(self, spec, part, stream, count=20_000):
-        g = gen(stream)
-        vals = np.empty(count)
-        eye = np.eye(spec.m)
-        for i in range(count):
-            Z, _ = en.sample_z(spec, part, g)
-            vals[i] = matcore.spd_logdet(eye + Z @ Z.T)
-        return vals
+        """log det(I + Z Z^T) of count draws from gen(stream), BLOCK at a time."""
+        sampler, g = en.ratio_sampler(spec, part), gen(stream)
+        return np.concatenate([matcore.gram_logdet(en.draw_block(sampler, g, min(en.BLOCK, count - i))[0])
+                               for i in range(0, count, en.BLOCK)])
 
     def test_scale_invariance_across_shells(self):
         # FixedShell(r0) and FixedShell(2 r0) give the same law of Z

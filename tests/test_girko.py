@@ -15,6 +15,12 @@ def gen(stream=0, seed=20260808):
     return en.RngStream(seed, stream).generator()
 
 
+def block_draws(sampler, g, count):
+    """count solved systems (count, m, c) drawn from g with draw_block, BLOCK at a time."""
+    return np.concatenate([en.draw_block(sampler, g, min(en.BLOCK, count - i))[0]
+                           for i in range(0, count, en.BLOCK)])
+
+
 def closed_form_cauchy_ratio(z):
     """Ratio of two independent standard Cauchy variables, by partial fractions."""
     if z * z == 1.0:
@@ -111,11 +117,8 @@ class TestRatioDensity:
 
     def test_empirical_ratio(self):
         spec = girko.LinearSystemSpec(m=3, n=2, u=(0.5, -1.0))
-        g = gen(32)
-        ratios = np.empty(20_000)
-        for i in range(20_000):
-            z, _ = girko.sample_solution(spec, g)
-            ratios[i] = z[0] / z[1]
+        z = block_draws(girko.solution_sampler(spec), gen(32), 20_000)
+        ratios = z[:, 0, 0] / z[:, 1, 0]
         rep = stats.ks_one_sample(ratios, de.cauchy_cdf)
         assert rep.p_value > 1e-3
 
@@ -133,8 +136,8 @@ class TestSampleSolution:
         g1, g2 = gen(34), gen(35)
         gauss = girko.LinearSystemSpec(m=2, n=1, u=u)
         shell = girko.LinearSystemSpec(m=2, n=1, u=u, radial=en.FixedShell(3.0))
-        a = np.array([girko.sample_solution(gauss, g1)[0][0] for _ in range(20_000)])
-        b = np.array([girko.sample_solution(shell, g2)[0][0] for _ in range(20_000)])
+        a = block_draws(girko.solution_sampler(gauss), g1, 20_000)[:, 0, 0]
+        b = block_draws(girko.solution_sampler(shell), g2, 20_000)[:, 0, 0]
         rep = stats.ks_two_sample(a, b)
         assert rep.p_value > 1e-3
 
@@ -212,6 +215,18 @@ class TestStableDensityQuadrature:
             )
             assert abs(2 * val - 1.0) < 1e-6
 
+    def test_quad_is_looked_up_at_call_time(self, monkeypatch):
+        # girko.quad stays a replaceable attribute, as perfbench's tracer needs
+        real, calls = girko.quad, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(girko, "quad", counted)
+        girko.girko_stable_density(0.5, girko.StableLaw(alpha=2), 1.0)
+        assert calls == [(0.0, 0.5 * math.pi)]
+
     def test_alpha1_diverges_at_zero(self):
         with pytest.raises(girko.QuadratureFailure):
             girko.girko_stable_density(0.0, girko.StableLaw(alpha=1), 1.0)
@@ -224,6 +239,21 @@ class TestStableDensityQuadrature:
     def test_scale_must_be_finite_and_positive(self, c):
         with pytest.raises(ValueError, match="scale"):
             girko.StableLaw(alpha=1, c=c)
+
+
+class TestChi2:
+    def test_matches_mpmath(self):
+        # 30-digit reference chi_2(x) = (Li_2(x) - Li_2(-x)) / 2, on both
+        # sides of the switch at sqrt(2) - 1 and up to the last float below 1
+        mpmath = pytest.importorskip("mpmath")
+        split = math.sqrt(2.0) - 1.0
+        xs = np.concatenate([np.geomspace(1e-12, 1.0 - 1e-12, 300), np.linspace(0.40, 0.43, 31),
+                             [np.nextafter(split, 0.0), split, np.nextafter(split, 1.0), 1.0 - 2.0**-53]])
+        got = girko._chi2(xs)
+        with mpmath.workdps(30):
+            want = [(mpmath.polylog(2, x) - mpmath.polylog(2, -x)) / 2 for x in map(mpmath.mpf, xs)]
+            worst = max(abs((mpmath.mpf(g) - w) / w) for g, w in zip(got, want))
+        assert worst <= 1e-15
 
 
 class TestStableCdf:
@@ -244,11 +274,16 @@ class TestStableCdf:
         # the adaptive reference is itself good to about 3e-8
         pos = np.geomspace(1e-8, 1e6, 43)
         zs = np.concatenate([-pos[::-1], pos])
+        # k = zeta / beta on both sides of chi_2's switch to Landen's identity at
+        # sqrt(2) - 1, and of its image under I(k) = pi^2/4 - I(1/k)
+        split = math.sqrt(2.0) - 1.0
+        switch = np.outer([0.999, 1.001], [split, 1.0 / split, -split]).ravel()
         for c in (0.5, 2.0):
             law = girko.StableLaw(alpha=1, c=c)
             for beta in (1.0, 1.75, 2.0):
-                got = girko.girko_stable_cdf(zs, law, beta)
-                want = np.array([girko._girko_stable_cdf_quad(float(z), law, beta) for z in zs])
+                points = np.concatenate([zs, beta * switch])
+                got = girko.girko_stable_cdf(points, law, beta)
+                want = np.array([girko._girko_stable_cdf_quad(float(z), law, beta) for z in points])
                 assert np.max(np.abs(got - want)) < 1e-7
 
     def test_alpha1_exact_values(self):

@@ -1,8 +1,8 @@
 """Property tests of the paper's symmetries (stable CDF reflection and
 monotonicity, Z -> O Z Q invariance, the (m, n) transpose symmetry) and of
-the reproducibility contract: stacking substream blocks into one kernel call,
-reusing a block's generator and the shard count change no draw and no report
-byte."""
+the reproducibility contract: a block's draws depend on its generator's state
+alone, and stacking substream blocks into one kernel call, reusing a block's
+generator and the shard count change no draw and no report byte."""
 
 import tempfile
 from pathlib import Path
@@ -131,6 +131,32 @@ def test_reset_generator_draws_what_a_new_one_draws(old, new, earlier, later):
     assert reset is gen
     for name, k in later:
         assert GENERATOR_CALLS[name](reset, k).tobytes() == GENERATOR_CALLS[name](fresh, k).tobytes()
+
+
+@PROPERTY
+@given(
+    kind=st.sampled_from(["real", "complex", "girko", "girko-stable"]),
+    m=st.integers(1, 3),
+    n=st.integers(0, 2),
+    law=radial_laws,
+    alpha=st.sampled_from([1, 2]),
+    k=st.integers(1, 2 * en.BLOCK),
+    ratio=st.sampled_from([matcore.NEAR_SINGULAR_RATIO, 0.3]),
+    seed=seeds,
+    earlier=st.lists(generator_calls, max_size=6),
+)
+def test_draw_block_depends_on_the_generator_state_alone(kind, m, n, law, alpha, k, ratio, seed, earlier):
+    gen = en.RngStream(seed).generator()
+    for name, size in earlier:
+        GENERATOR_CALLS[name](gen, size)
+    twin = np.random.Generator(np.random.Philox())
+    twin.bit_generator.state = gen.bit_generator.state
+    sampler = make_sampler(kind, m, n, law, alpha)
+    with mock.patch.object(matcore, "NEAR_SINGULAR_RATIO", ratio):
+        Z, rejected = en.draw_block(sampler, gen, k)
+        again, rejected_again = en.draw_block(sampler, twin, k)
+    assert Z.shape[0] == k and Z.tobytes() == again.tobytes() and rejected == rejected_again
+    assert gen.random(4).tobytes() == twin.random(4).tobytes()  # and leaves equal states
 
 
 def statistic_rows(Z):
