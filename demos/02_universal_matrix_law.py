@@ -10,6 +10,15 @@ import numpy as np
 import rmtlab
 
 m, n, N = 2, 2, 4000
+BLOCK = rmtlab.ensembles.BLOCK  # systems drawn and solved per draw_block call
+
+
+def log_dets(spec, part, gen):
+    """log det(1 + Z Z^T) of N block ratios, drawn BLOCK at a time."""
+    sampler = rmtlab.ratio_sampler(spec, part)
+    Z = np.concatenate([rmtlab.draw_block(sampler, gen, min(BLOCK, N - i))[0] for i in range(0, N, BLOCK)])
+    return rmtlab.matcore.gram_logdet(Z)
+
 
 # ## Sample the log det statistic under four dissimilar radial laws
 laws = {
@@ -23,11 +32,7 @@ statistics = {}
 for stream, (name, law) in enumerate(laws.items()):
     spec = rmtlab.EnsembleSpec(m=m, n=n, radial=law)
     gen = rmtlab.RngStream(seed=3, stream_id=stream).generator()
-    vals = np.empty(N)
-    for i in range(N):
-        Z, _ = rmtlab.sample_z(spec, None, gen)
-        vals[i] = rmtlab.spd_logdet(np.eye(m) + Z @ Z.T)
-    statistics[name] = vals
+    statistics[name] = log_dets(spec, None, gen)
 
 print("pairwise two-sample KS on log det(1 + Z Z^T):\n")
 names = list(statistics)
@@ -47,11 +52,6 @@ print(f"matrix-t at (0,I,I,1) = {rmtlab.log_matrix_t(Z, params):.10f}")
 spec = rmtlab.EnsembleSpec(m=m, n=n)
 for cols in ([1, 2], [4, 2]):
     gen = rmtlab.RngStream(seed=4, stream_id=cols[0]).generator()
-    part = rmtlab.PartitionSpec(cols)
-    vals = np.empty(N)
-    for i in range(N):
-        Z, _ = rmtlab.sample_z(spec, part, gen)
-        vals[i] = rmtlab.spd_logdet(np.eye(m) + Z @ Z.T)
-    statistics[str(cols)] = vals
+    statistics[str(cols)] = log_dets(spec, rmtlab.PartitionSpec(cols), gen)
 rep = rmtlab.ks_two_sample(statistics["[1, 2]"], statistics["[4, 2]"])
 print(f"\npartition [1,2] vs [4,2]: D = {rep.statistic:.4f}  p = {rep.p_value:.3f}")

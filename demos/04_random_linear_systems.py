@@ -13,6 +13,14 @@ import numpy as np
 import rmtlab
 
 N = 5000
+BLOCK = rmtlab.ensembles.BLOCK  # systems drawn and solved per draw_block call
+
+
+def solutions(sampler, gen):
+    """N solution vectors (N, m), drawn and solved BLOCK at a time."""
+    z = np.concatenate([rmtlab.draw_block(sampler, gen, min(BLOCK, N - i))[0] for i in range(0, N, BLOCK)])
+    return z[:, :, 0]
+
 u = (0.75,)
 beta = rmtlab.beta_euclidean(u)
 print(f"parameters u = {u}, width beta = {beta}\n")
@@ -21,12 +29,8 @@ print(f"parameters u = {u}, width beta = {beta}\n")
 for stream, law in enumerate([rmtlab.GaussianEntries(), rmtlab.FixedShell(2.0)]):
     spec = rmtlab.LinearSystemSpec(m=2, n=1, u=u, radial=law)
     gen = rmtlab.RngStream(seed=6, stream_id=stream).generator()
-    z1 = np.empty(N)
-    ratio = np.empty(N)
-    for i in range(N):
-        z, _ = rmtlab.sample_solution(spec, gen)
-        z1[i] = z[0]
-        ratio[i] = z[0] / z[1]
+    z = solutions(rmtlab.solution_sampler(spec), gen)
+    z1, ratio = z[:, 0], z[:, 0] / z[:, 1]
     width = rmtlab.CauchyParams(0.0, beta)
     rep1 = rmtlab.ks_one_sample(z1, lambda x: rmtlab.cauchy_cdf(x, width))
     rep2 = rmtlab.ks_one_sample(ratio, rmtlab.cauchy_cdf)
@@ -45,6 +49,6 @@ for zeta in (0.0, 1.0, 2.5):
 
 law1 = rmtlab.StableLaw(alpha=1)
 gen = rmtlab.RngStream(seed=7, stream_id=0).generator()
-draws = np.array([rmtlab.sample_stable_system(1, 0, (), law1, gen)[0][0] for _ in range(N)])
+draws = solutions(rmtlab.stable_sampler(1, 0, (), law1), gen)[:, 0]
 rep = rmtlab.ks_one_sample(draws, lambda x: rmtlab.girko_stable_cdf(x, law1, 1.0))
-print(f"\nalpha = 1, m = 1: z = b/B against the quadrature CDF: p = {rep.p_value:.3f}")
+print(f"\nalpha = 1, m = 1: z = b/B against the exact CDF: p = {rep.p_value:.3f}")

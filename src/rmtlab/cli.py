@@ -1,20 +1,19 @@
 """Reproducible experiment runner.
 
 Experiments are described by a flat JSON config (kind, dimensions, radial
-laws, sample count, seed, ...).  Sampling is split into fixed-size blocks of
+laws, sample count, seed, ...).  Sampling is split into blocks of BLOCK
 draws; block b of arm a always consumes the substream keyed by (seed, a, b),
 so the pooled sample is bit-identical for a given seed whatever the shard
-count in the config.  Eight consecutive blocks are drawn, flagged, solved
-and reduced to report rows in one stacked kernel call, which draws exactly
-what eight one-block calls would.  Suites that compare radial laws
-(universality and complex, one suite for both fields, and girko) pool one
-arm per law through _arms; every sampled suite passes each of its KS tests
-at significance over their count through _check.  A report keeps its rows
-as one 2-D array, one row per draw, with the law label of each row beside
-it for suites that pool arms.  Reports are emitted as schema-stable JSON
-(byte-identical across reruns of the same config+seed) and as CSV holding
-the raw per-draw statistics for external plotting, written column by column
-EMIT_ROWS rows at a time.
+count in the config.  Each block is drawn, flagged, solved and reduced to
+report rows in one draw_block call, from a new generator on its substream.
+Suites that compare radial laws (universality and complex, one suite for
+both fields, and girko) pool one arm per law through _arms; every sampled
+suite passes each of its KS tests at significance over their count through
+_check.  A report keeps its rows as one 2-D array, one row per draw, with
+the law label of each row beside it for suites that pool arms.  Reports are
+emitted as schema-stable JSON (byte-identical across reruns of the same
+config+seed) and as CSV holding the raw per-draw statistics for external
+plotting, written column by column EMIT_ROWS rows at a time.
 """
 
 from __future__ import annotations
@@ -40,14 +39,11 @@ from .ensembles import (
     RngStream,
     TwoShellMixture,
     UniformBall,
+    as_integer,
 )
 
 KINDS = ("universality", "exactness", "girko", "girko-stable", "identities", "complex")
 DENSITY_KINDS = ("universal-real", "universal-complex", "matrix-t", "girko")
-# Substream blocks drawn, flagged and solved per stacked kernel call: long
-# enough to amortise numpy's per-call overhead, fixed so that a call's memory
-# does not grow with samples.  Draws do not depend on it.
-RUN_BLOCKS = 8
 # CSV rows formatted per write: fixed, so the writer holds one chunk's strings
 # whatever the number of draws.  The bytes do not depend on it.
 EMIT_ROWS = 4096
@@ -137,13 +133,6 @@ class ExperimentConfig:
         }
 
 
-def _integer(value) -> int:
-    """An integer field's value: bools and numbers with a fraction are refused, never cut."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
 def _real(value) -> float:
     """A real field's value: bools are refused, not read as 0 or 1."""
     if isinstance(value, bool):
@@ -198,12 +187,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     kind = _take(raw, "kind", str, required=True)
     if kind not in KINDS:
         raise ConfigError(f"kind: must be one of {KINDS}, got {kind!r}")
-    seed = _take(raw, "seed", _integer, required=(kind != "identities"), default=0)
+    seed = _take(raw, "seed", as_integer, required=(kind != "identities"), default=0)
     if not 0 <= seed <= MAX_SEED:
         raise ConfigError(f"seed: must lie in 0..2**64 - 1, got {seed}")
     cfg = ExperimentConfig(kind=kind, seed=seed)
-    cfg.m = _take(raw, "m", _integer, cfg.m)
-    cfg.n = _take(raw, "n", _integer, cfg.n)
+    cfg.m = _take(raw, "m", as_integer, cfg.m)
+    cfg.n = _take(raw, "n", as_integer, cfg.n)
     if not 1 <= cfg.m <= MAX_DIM:
         raise ConfigError(f"m: must lie in 1..{MAX_DIM}, got {cfg.m}")
     if not 0 <= cfg.n <= MAX_DIM:
@@ -217,17 +206,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("radial: needs at least one law")
     cfg.radial = tuple(parse_radial(d) for d in laws)
     if raw.get("b_columns") is not None:
-        cfg.b_columns = _take_list(raw, "b_columns", _integer)
+        cfg.b_columns = _take_list(raw, "b_columns", as_integer)
     if "u" in raw:
         cfg.u = _take_list(raw, "u", _real)
-    cfg.alpha = _take(raw, "alpha", _integer, cfg.alpha)
+    cfg.alpha = _take(raw, "alpha", as_integer, cfg.alpha)
     cfg.scale = _take(raw, "scale", _real, cfg.scale)
-    cfg.samples = _take(raw, "samples", _integer, cfg.samples)
-    cfg.shards = _take(raw, "shards", _integer, cfg.shards)
+    cfg.samples = _take(raw, "samples", as_integer, cfg.samples)
+    cfg.shards = _take(raw, "shards", as_integer, cfg.shards)
     cfg.out = _take(raw, "out", str, cfg.out)
     cfg.format = _take(raw, "format", str, cfg.format)
     cfg.significance = _take(raw, "significance", _real, cfg.significance)
-    cfg.max_mn = _take(raw, "max_mn", _integer, cfg.max_mn)
+    cfg.max_mn = _take(raw, "max_mn", as_integer, cfg.max_mn)
     if cfg.shards < 1:
         raise ConfigError(f"shards: must be >= 1, got {cfg.shards}")
     if kind != "identities" and cfg.samples < stats.MIN_SAMPLES:
@@ -337,24 +326,17 @@ def _pooled_rows(cfg: ExperimentConfig, report: RunReport, arm: int,
                  sampler: ensembles.SystemSampler, row_of) -> np.ndarray:
     """Stack row_of(Z) over cfg.samples solved systems of one arm.
 
-    Block b of this arm always draws its BLOCK systems from the substream
-    (seed, arm << 32 | b), so the pooled rows depend on the seed alone.
-    RUN_BLOCKS consecutive blocks share one stacked kernel call, and row_of
-    maps that call's (k, m, c) solution stack to its k report rows, so only
-    the rows, never all solutions, are pooled.  The call's RUN_BLOCKS
-    generators are reset to each next call's substreams, not rebuilt.  The
-    arm's rejections are added to the report.
+    Block b of this arm draws its BLOCK systems in one draw_block call, from
+    a new generator on the substream (seed, arm << 32 | b), so the pooled
+    rows depend on the seed alone.  row_of maps the block's (k, m, c)
+    solution stack to its k report rows, so only the rows, never all
+    solutions, are pooled.  The arm's rejections are added to the report.
     """
-    n = cfg.samples
-    n_blocks = -(-n // BLOCK)
     rows = []
     rejected = 0
-    gens = [None] * RUN_BLOCKS
-    for first in range(0, n_blocks, RUN_BLOCKS):
-        chunk = range(first, min(first + RUN_BLOCKS, n_blocks))
-        gens = [RngStream(cfg.seed, (arm << 32) | b).generator(g) for b, g in zip(chunk, gens)]
-        sizes = [min(BLOCK, n - b * BLOCK) for b in chunk]
-        Z, rej = ensembles.draw_blocks(sampler, gens, sizes)
+    for b, first in enumerate(range(0, cfg.samples, BLOCK)):
+        rng = RngStream(cfg.seed, (arm << 32) | b).generator()
+        Z, rej = ensembles.draw_block(sampler, rng, min(BLOCK, cfg.samples - first))
         rows.append(row_of(Z))
         rejected += rej
     report.resamples += rejected
@@ -580,6 +562,8 @@ def _parse_point(kind: str, at) -> np.ndarray:
         arr = np.asarray(at, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"at: expected numbers, got {at!r}") from None
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"at: entries must be finite, got {at!r}")
     if kind == "universal-complex":
         if arr.ndim != 3 or arr.shape[2] != 2:
             raise ConfigError("at: complex points use [re, im] pairs, e.g. [[[0.1, 0.2]]]")
@@ -588,6 +572,29 @@ def _parse_point(kind: str, at) -> np.ndarray:
     if arr.ndim > most or arr.size == 0:
         raise ConfigError(f"at: {kind} takes a non-empty array of at most {most} dimensions, got shape {arr.shape}")
     return arr
+
+
+def _matrix_t_params(params: dict, m: int, n: int) -> TDistParams:
+    """The matrix-t parameters in params for an m x n point; errors name the parameter."""
+    given = {}
+    for name, default in (("M", np.zeros((m, n))), ("Sigma", np.eye(m)), ("Omega", np.eye(n))):
+        try:
+            given[name] = value = np.atleast_2d(np.asarray(params.get(name, default), dtype=float))
+            if value.shape != default.shape:
+                raise ValueError(f"expected shape {default.shape}, got {value.shape}")
+            if not np.isfinite(value).all():
+                raise ValueError("entries must be finite")
+            if name != "M":
+                matcore.spd_logdet(value)  # raises unless positive definite
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"params: {name}: {exc}") from None
+    try:
+        q = _real(params.get("q", 1.0))
+        if not math.isfinite(q):
+            raise ValueError(f"must be finite, got {q}")
+        return TDistParams(q=q, **given)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"params: q: {exc}") from None
 
 
 def density_value(kind: str, params: dict, at) -> float:
@@ -600,21 +607,14 @@ def density_value(kind: str, params: dict, at) -> float:
         return densities.log_universal_complex(_parse_point(kind, at))
     if kind == "matrix-t":
         Z = np.atleast_2d(_parse_point(kind, at))
-        m, n = Z.shape
-        p = TDistParams(
-            M=np.asarray(params.get("M", np.zeros((m, n))), dtype=float),
-            Sigma=np.asarray(params.get("Sigma", np.eye(m)), dtype=float),
-            Omega=np.asarray(params.get("Omega", np.eye(n)), dtype=float),
-            q=float(params.get("q", 1.0)),
-        )
-        return densities.log_matrix_t(Z, p)
+        return densities.log_matrix_t(Z, _matrix_t_params(params, *Z.shape))
     if kind == "girko":
         try:
             u = np.asarray(params.get("u", ()), dtype=float)
         except (TypeError, ValueError):
             u = None
-        if u is None or u.ndim != 1:
-            raise ConfigError(f"params: u must be a list of numbers, got {params.get('u')!r}")
+        if u is None or u.ndim != 1 or not np.isfinite(u).all():
+            raise ConfigError(f"params: u must be a list of finite numbers, got {params.get('u')!r}")
         return girko.girko_logdensity(_parse_point(kind, at), u)
     raise ConfigError(f"kind: must be one of {DENSITY_KINDS}, got {kind!r}")
 

@@ -15,6 +15,7 @@ entries, and a bimodal two-shell mixture.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,7 +25,10 @@ import numpy as np
 from . import matcore
 
 _MASK64 = (1 << 64) - 1
-BLOCK = 64  # draws per substream block; fixed so pooled output never depends on sharding
+# Draws per substream block and per draw_block call in the runner: long enough
+# to amortise numpy's per-call overhead and a new Philox, fixed so that pooled
+# draws never depend on sharding and a call's memory does not grow with samples.
+BLOCK = 512
 
 
 class InvalidLaw(ValueError):
@@ -39,6 +43,16 @@ class ResampleLimit(RuntimeError):
     """Too many consecutive near-singular draws; the ensemble is degenerate."""
 
 
+def as_integer(value, name: str | None = None) -> int:
+    """value as an int: bools and numbers with a fraction are refused, never cut.
+
+    The ValueError names the field when name is given.
+    """
+    if isinstance(value, bool) or isinstance(value, (float, np.floating)) and not float(value).is_integer():
+        raise ValueError(f"{name + ': ' if name else ''}expected an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GaussianEntries:
     """Radius law making all matrix entries i.i.d. standard normal."""
@@ -51,8 +65,8 @@ class FixedShell:
     r0: float
 
     def __post_init__(self):
-        if not self.r0 > 0:
-            raise InvalidLaw(f"shell radius must be positive, got {self.r0}")
+        if not 0.0 < self.r0 < math.inf:
+            raise InvalidLaw(f"shell radius must be finite and positive, got {self.r0}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +76,8 @@ class UniformBall:
     R: float
 
     def __post_init__(self):
-        if not self.R > 0:
-            raise InvalidLaw(f"ball radius must be positive, got {self.R}")
+        if not 0.0 < self.R < math.inf:
+            raise InvalidLaw(f"ball radius must be finite and positive, got {self.R}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +89,8 @@ class TwoShellMixture:
     w: float
 
     def __post_init__(self):
-        if not (self.r1 > 0 and self.r2 > 0):
-            raise InvalidLaw("shell radii must be positive")
+        if not (0.0 < self.r1 < math.inf and 0.0 < self.r2 < math.inf):
+            raise InvalidLaw(f"shell radii must be finite and positive, got {self.r1} and {self.r2}")
         if not 0.0 < self.w < 1.0:
             raise InvalidLaw(f"mixture weight must lie in (0,1), got {self.w}")
 
@@ -94,6 +108,8 @@ class EnsembleSpec:
     radial: RadialLaw = GaussianEntries()
 
     def __post_init__(self):
+        object.__setattr__(self, "m", as_integer(self.m, "m"))
+        object.__setattr__(self, "n", as_integer(self.n, "n"))
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.n < 0:
@@ -118,7 +134,11 @@ class PartitionSpec:
     b_columns: tuple[int, ...]
 
     def __init__(self, b_columns):
-        object.__setattr__(self, "b_columns", tuple(int(c) for c in b_columns))
+        try:
+            cols = tuple(as_integer(c) for c in b_columns)
+        except ValueError as exc:
+            raise BadPartition(f"b_columns: {exc}") from None
+        object.__setattr__(self, "b_columns", cols)
 
     @staticmethod
     def leading(m: int) -> "PartitionSpec":
@@ -137,25 +157,10 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
-    def generator(self, reuse: np.random.Generator | None = None) -> np.random.Generator:
-        """A Philox generator at the start of this stream.
-
-        Given reuse, a generator this method returned before, reset it to the
-        start of this stream and return it instead: the same draws, without a
-        new Philox, which numpy seeds from OS entropy before setting its key.
-        """
+    def generator(self) -> np.random.Generator:
+        """A Philox generator at the start of this stream."""
         key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
-        if reuse is None:
-            return np.random.Generator(np.random.Philox(key=key))
-        reuse.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, np.uint64), "key": key},
-            "buffer": np.zeros(4, np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return reuse
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_unit_direction(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -255,41 +260,6 @@ class SystemSampler:
     split: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def draw_blocks(
-    sampler: SystemSampler,
-    gens: list[np.random.Generator],
-    sizes: list[int],
-    max_rejects: int = 100,
-) -> tuple[np.ndarray, int]:
-    """Draw consecutive blocks of systems and solve them all: (Z, rejections).
-
-    Block i is sizes[i] systems drawn from gens[i].  The blocks are stacked
-    and flagged in one matcore.near_singular call.  Each block then redraws
-    its numerically singular systems from its own generator, in block
-    order, all its flagged rows in one call, until none is flagged; the
-    rejections are counted.  Raises ResampleLimit once a row is flagged
-    max_rejects times in a row.  Z = B^-1 R comes from one stacked LAPACK
-    solve and has shape (sum(sizes), m, c).  Every draw and every count is
-    what separate calls per block would give.
-    """
-    B, R = sampler.split(np.concatenate([sampler.draw(g, k) for g, k in zip(gens, sizes)]))
-    flagged = np.flatnonzero(matcore.near_singular(B))
-    rejects = 0
-    if flagged.size:  # usually empty; grouping by block costs more than a small block's flag
-        block_of = np.searchsorted(np.cumsum(sizes), flagged, side="right")
-        for i in np.unique(block_of):  # the blocks with flagged rows, in block order
-            rows = flagged[block_of == i]
-            streak = 0  # every row still flagged has been flagged in each round so far
-            while rows.size:
-                streak += 1
-                rejects += rows.size
-                if streak >= max_rejects:
-                    raise ResampleLimit(f"{streak} consecutive near-singular draws")
-                B[rows], R[rows] = sampler.split(sampler.draw(gens[i], rows.size))
-                rows = rows[matcore.near_singular(B[rows])]
-    return np.linalg.solve(B, R), rejects
-
-
 def draw_block(
     sampler: SystemSampler,
     rng: np.random.Generator,
@@ -298,9 +268,24 @@ def draw_block(
 ) -> tuple[np.ndarray, int]:
     """Draw k systems from rng and solve them all: (Z stack, rejections).
 
-    The one-block call of draw_blocks: Z has shape (k, m, c).
+    The k systems are drawn in one call and flagged in one
+    matcore.near_singular call.  The numerically singular ones are redrawn
+    from rng, all flagged rows in one call, until none is flagged; the
+    rejections are counted.  Raises ResampleLimit once a row is flagged
+    max_rejects times in a row.  Z = B^-1 R comes from one stacked LAPACK
+    solve and has shape (k, m, c).
     """
-    return draw_blocks(sampler, [rng], [k], max_rejects)
+    B, R = sampler.split(sampler.draw(rng, k))
+    rows = np.flatnonzero(matcore.near_singular(B))
+    rejects = streak = 0  # every row still flagged has been flagged in each round so far
+    while rows.size:
+        streak += 1
+        rejects += rows.size
+        if streak >= max_rejects:
+            raise ResampleLimit(f"{streak} consecutive near-singular draws")
+        B[rows], R[rows] = sampler.split(sampler.draw(rng, rows.size))
+        rows = rows[matcore.near_singular(B[rows])]
+    return np.linalg.solve(B, R), rejects
 
 
 def ratio_sampler(spec: EnsembleSpec, p: PartitionSpec | None = None) -> SystemSampler:

@@ -47,8 +47,8 @@ class LinearSystemSpec:
     radial: ensembles.RadialLaw = ensembles.GaussianEntries()
 
     def __init__(self, m, n, u=(), radial=ensembles.GaussianEntries()):
-        object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "m", ensembles.as_integer(m, "m"))
+        object.__setattr__(self, "n", ensembles.as_integer(n, "n"))
         object.__setattr__(self, "u", tuple(float(x) for x in u))
         object.__setattr__(self, "radial", radial)
         if self.m < 1:

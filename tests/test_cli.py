@@ -172,6 +172,10 @@ class TestConfigParsing:
             # a seed outside Philox's 64-bit key would alias one inside it
             ({"seed": 2**64}, "seed"),
             ({"seed": -1}, "seed"),
+            # a radius law needs finite radii; an infinite one was redrawn forever or ignored
+            ({"kind": "universality", "radial": ["shell:inf", "gaussian"]}, "radial"),
+            ({"kind": "universality", "radial": ["ball:inf", "gaussian"]}, "radial"),
+            ({"kind": "universality", "radial": ["two-shell:1,inf,0.5", "gaussian"]}, "radial"),
         ],
     )
     def test_bad_input_fails_at_parse_time(self, tmp_path, capsys, overrides, field):
@@ -518,6 +522,9 @@ class TestCommandLine:
             (["--kind", "universal-real", "--at", "[[[1]]]"], "at"),
             (["--kind", "matrix-t", "--at", "[]"], "at"),
             (["--kind", "universal-real", "--at", '[1, "x"]'], "at"),
+            (["--kind", "matrix-t", "--params", '{"q": "x"}', "--at", "[[1]]"], "params: q"),
+            (["--kind", "matrix-t", "--params", '{"Sigma": [[-1]]}', "--at", "[[1]]"], "params: Sigma"),
+            (["--kind", "universal-real", "--at", "[[1, null]]"], "at"),
         ],
     )
     def test_density_bad_input_exit_two(self, capsys, argv, field):

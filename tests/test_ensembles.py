@@ -15,6 +15,18 @@ def gen(stream=0, seed=20260808):
     return en.RngStream(seed, stream).generator()
 
 
+def block_draws(sampler, g, count):
+    """count solved systems drawn from g with draw_block, BLOCK at a time: (Z, rejections)."""
+    blocks = [en.draw_block(sampler, g, min(en.BLOCK, count - i)) for i in range(0, count, en.BLOCK)]
+    return np.concatenate([Z for Z, _ in blocks]), sum(rej for _, rej in blocks)
+
+
+def parent_draws(spec, g, count):
+    """count parent matrices (count, m, m + n) drawn from g by the block sampler, BLOCK at a time."""
+    draw = en.ratio_sampler(spec).draw
+    return np.concatenate([draw(g, min(en.BLOCK, count - i)) for i in range(0, count, en.BLOCK)])
+
+
 class TestUnitDirection:
     def test_unit_norm_every_draw(self):
         g = gen(1)
@@ -74,6 +86,30 @@ class TestRadialLaws:
         with pytest.raises(en.InvalidLaw):
             en.TwoShellMixture(1.0, 2.0, 1.5)
 
+    @pytest.mark.parametrize("law", [lambda r: en.FixedShell(r), lambda r: en.UniformBall(r),
+                                     lambda r: en.TwoShellMixture(1.0, r, 0.5)])
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_non_finite_radius_refused(self, law, radius):
+        with pytest.raises(en.InvalidLaw, match="finite"):
+            law(radius)
+
+
+class TestSpecs:
+    @pytest.mark.parametrize(("m", "n", "field"), [(2.5, 1, "m"), (2, 0.5, "n"), (True, 1, "m"), (2, False, "n")])
+    def test_ensemble_spec_refuses_fractional_dimensions(self, m, n, field):
+        with pytest.raises(ValueError, match=f"^{field}: expected an integer"):
+            en.EnsembleSpec(m=m, n=n)
+
+    def test_ensemble_spec_keeps_integral_numbers_as_ints(self):
+        spec = en.EnsembleSpec(m=2.0, n=np.int64(1))
+        assert (spec.m, spec.n, spec.dim) == (2, 1, 6) and type(spec.m) is type(spec.n) is int
+
+    @pytest.mark.parametrize("cols", [[1.9, 2], [True, 2], [1, np.float64(2.5)]])
+    def test_partition_spec_refuses_fractional_columns(self, cols):
+        with pytest.raises(en.BadPartition, match="^b_columns: expected an integer"):
+            en.PartitionSpec(cols)
+        assert en.PartitionSpec([2.0, 1]).b_columns == (2, 1)
+
 
 class TestSampleMatrix:
     def test_fixed_shell_trace(self):
@@ -97,11 +133,8 @@ class TestSampleMatrix:
         rng = np.random.default_rng(1)
         O, _ = np.linalg.qr(rng.standard_normal((2, 2)))
         g = gen(10)
-        stat, stat_rot = [], []
-        for _ in range(20_000):
-            A = en.sample_matrix(spec, g)
-            stat.append(A[:2, :2].trace())
-            stat_rot.append((O @ en.sample_matrix(spec, g))[:2, :2].trace())
+        stat = np.trace(parent_draws(spec, g, 20_000)[:, :2, :2], axis1=1, axis2=2)
+        stat_rot = np.trace((O @ parent_draws(spec, g, 20_000))[:, :2, :2], axis1=1, axis2=2)
         rep = stats.ks_two_sample(stat, stat_rot)
         assert rep.p_value > 1e-3
 
@@ -146,7 +179,7 @@ class TestSampleZ:
     def test_scalar_ratio_is_cauchy(self):
         spec = en.EnsembleSpec(m=1, n=1)
         g = gen(12)
-        draws = np.array([en.sample_z(spec, None, g)[0][0, 0] for _ in range(20_000)])
+        draws = block_draws(en.ratio_sampler(spec), g, 20_000)[0][:, 0, 0]
         rep = stats.ks_one_sample(draws, de.cauchy_cdf)
         assert rep.statistic < 0.015
         assert rep.p_value > 1e-3
@@ -155,7 +188,7 @@ class TestSampleZ:
         # m=2, n=1: each component of the 2-dim Cauchy vector is standard Cauchy
         spec = en.EnsembleSpec(m=2, n=1)
         g = gen(13)
-        draws = np.array([en.sample_z(spec, None, g)[0][0, 0] for _ in range(20_000)])
+        draws = block_draws(en.ratio_sampler(spec), g, 20_000)[0][:, 0, 0]
         rep = stats.ks_one_sample(draws, de.cauchy_cdf)
         assert rep.p_value > 1e-3
 
@@ -171,11 +204,7 @@ class TestSampleZ:
 
     def test_resample_rate_tiny(self):
         spec = en.EnsembleSpec(m=5, n=1)
-        g = gen(15)
-        total = 0
-        for _ in range(10_000):
-            _, rej = en.sample_z(spec, None, g)
-            total += rej
+        _, total = block_draws(en.ratio_sampler(spec), gen(15), 10_000)
         assert total / 10_000 < 1e-3
 
     def test_needs_n_at_least_one(self):
@@ -239,9 +268,7 @@ class TestDrawBlock:
 class TestScaleAndPartitionInvariance:
     def statistic(self, spec, part, stream, count=20_000):
         """log det(I + Z Z^T) of count draws from gen(stream), BLOCK at a time."""
-        sampler, g = en.ratio_sampler(spec, part), gen(stream)
-        return np.concatenate([matcore.gram_logdet(en.draw_block(sampler, g, min(en.BLOCK, count - i))[0])
-                               for i in range(0, count, en.BLOCK)])
+        return matcore.gram_logdet(block_draws(en.ratio_sampler(spec, part), gen(stream), count)[0])
 
     def test_scale_invariance_across_shells(self):
         # FixedShell(r0) and FixedShell(2 r0) give the same law of Z

@@ -127,7 +127,7 @@ class TestSampleSolution:
     def test_component_matches_cauchy_width(self):
         spec = girko.LinearSystemSpec(m=2, n=1, u=(0.75,))
         g = gen(33)
-        draws = np.array([girko.sample_solution(spec, g)[0][0] for _ in range(20_000)])
+        draws = block_draws(girko.solution_sampler(spec), g, 20_000)[:, 0, 0]
         rep = stats.ks_one_sample(draws, lambda x: de.cauchy_cdf(x, de.CauchyParams(0.0, 1.25)))
         assert rep.p_value > 1e-3
 
@@ -145,13 +145,19 @@ class TestSampleSolution:
         # n = 0, u = (): B z = b, so z follows the m-dim Cauchy law of width 1
         spec = girko.LinearSystemSpec(m=2, n=0, u=())
         g = gen(36)
-        draws = np.array([girko.sample_solution(spec, g)[0][0] for _ in range(20_000)])
+        draws = block_draws(girko.solution_sampler(spec), g, 20_000)[:, 0, 0]
         rep = stats.ks_one_sample(draws, de.cauchy_cdf)
         assert rep.p_value > 1e-3
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             girko.LinearSystemSpec(m=2, n=1, u=())
+
+    @pytest.mark.parametrize(("m", "n", "field"), [(2.7, 1, "m"), (2, 1.5, "n"), (True, 1, "m")])
+    def test_spec_refuses_fractional_dimensions(self, m, n, field):
+        with pytest.raises(ValueError, match=f"^{field}: expected an integer"):
+            girko.LinearSystemSpec(m=m, n=n, u=(1.0,))
+        assert girko.LinearSystemSpec(m=2.0, n=1, u=(1.0,)).m == 2
 
 
 class TestSystemBlocks:
@@ -323,7 +329,7 @@ class TestSampleStableSystem:
         law = girko.StableLaw(alpha=2)
         g = gen(37)
         beta = girko.beta_alpha(u, 2)
-        draws = np.array([girko.sample_stable_system(2, 1, u, law, g)[0][0] for _ in range(20_000)])
+        draws = block_draws(girko.stable_sampler(2, 1, u, law), g, 20_000)[:, 0, 0]
         rep = stats.ks_one_sample(draws, lambda x: de.cauchy_cdf(x, de.CauchyParams(0.0, beta)))
         assert rep.p_value > 1e-3
 
@@ -331,7 +337,7 @@ class TestSampleStableSystem:
         # m=1, n=0: z = b / B is a ratio of two Cauchy variables
         law = girko.StableLaw(alpha=1)
         g = gen(38)
-        draws = np.array([girko.sample_stable_system(1, 0, (), law, g)[0][0] for _ in range(20_000)])
+        draws = block_draws(girko.stable_sampler(1, 0, (), law), g, 20_000)[:, 0, 0]
         rep = stats.ks_one_sample(draws, lambda x: girko.girko_stable_cdf(x, law, 1.0))
         assert rep.p_value > 1e-3
 
@@ -342,7 +348,7 @@ class TestSampleStableSystem:
         beta = girko.beta_alpha(u, 1)
         assert beta == 2.0
         g = gen(39)
-        draws = np.array([girko.sample_stable_system(1, 1, u, law, g)[0][0] for _ in range(20_000)])
+        draws = block_draws(girko.stable_sampler(1, 1, u, law), g, 20_000)[:, 0, 0]
         rep = stats.ks_one_sample(draws, lambda x: girko.girko_stable_cdf(x, law, beta))
         assert rep.p_value > 1e-3
 
