@@ -13,12 +13,14 @@ _check.  A report keeps its rows as one 2-D array, one row per draw, with
 the law label of each row beside it for suites that pool arms.  Reports are
 emitted as schema-stable JSON (byte-identical across reruns of the same
 config+seed) and as CSV holding the raw per-draw statistics for external
-plotting, written column by column EMIT_ROWS rows at a time.
+plotting.  floatfmt formats the CSV's float rows, at most EMIT_VALUES values
+of one label at a time, into the bytes str(float) would give.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -44,9 +46,10 @@ from .ensembles import (
 
 KINDS = ("universality", "exactness", "girko", "girko-stable", "identities", "complex")
 DENSITY_KINDS = ("universal-real", "universal-complex", "matrix-t", "girko")
-# CSV rows formatted per write: fixed, so the writer holds one chunk's strings
-# whatever the number of draws.  The bytes do not depend on it.
-EMIT_ROWS = 4096
+# Most CSV values formatted per write: fixed, so the writer's temporaries stay
+# near a megabyte whatever the number of draws or columns.  The bytes do not
+# depend on it.
+EMIT_VALUES = 6144
 # Largest m, n and samples a config may ask for; README gives the reasons.
 MAX_DIM = 64
 MAX_SAMPLES = 10_000_000
@@ -523,17 +526,27 @@ def run(cfg: ExperimentConfig) -> RunReport:
 # emission
 
 
+def _csv_rows(block: np.ndarray, label: str | None) -> bytes:
+    """CSV lines of block's rows, each led by label when one is given."""
+    prefix = "" if label is None else label + ","
+    if block.dtype == object:  # identities: m and n print as integers
+        return "".join(prefix + ",".join(map(str, row)) + "\n" for row in block.tolist()).encode()
+    from . import floatfmt  # on the first CSV, so that importing the runner compiles no printer
+
+    return floatfmt.format_rows(block, prefix)
+
+
 def emit(report: RunReport, fmt: str, out: str) -> list[str]:
     """Write the report; returns the paths written.
 
-    JSON is schema-stable with fixed key order and excludes wall time, so
-    identical config+seed reproduces identical bytes.  CSV holds the raw
-    per-draw statistics, one row per draw, led by the row's label in suites
-    that have them; it is formatted column by column and written EMIT_ROWS
-    rows at a time.
+    out is a path stem; a trailing .json or .csv is dropped from it.  JSON is
+    schema-stable with fixed key order and excludes wall time, so identical
+    config+seed reproduces identical bytes.  CSV holds the raw per-draw
+    statistics, one row per draw, led by the row's label in suites that have
+    them; each call formats rows of one label, at most EMIT_VALUES values.
     """
     paths = []
-    base = out[:-5] if out.endswith(".json") else out
+    base = out.rsplit(".", 1)[0] if out.endswith((".json", ".csv")) else out
     if fmt in ("json", "both"):
         path = base + ".json"
         with open(path, "w", encoding="utf-8") as fh:
@@ -541,13 +554,16 @@ def emit(report: RunReport, fmt: str, out: str) -> list[str]:
         paths.append(path)
     if fmt in ("csv", "both"):
         path = base + ".csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(report.columns) + "\n")
-            for first in range(0, len(report.rows), EMIT_ROWS):
-                columns = [map(str, col) for col in report.rows[first:first + EMIT_ROWS].T.tolist()]
-                if report.row_labels:
-                    columns.insert(0, report.row_labels[first:first + EMIT_ROWS])
-                fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        runs = ([(label, len(list(run))) for label, run in itertools.groupby(report.row_labels)]
+                if report.row_labels else [(None, len(report.rows))])
+        step = max(1, EMIT_VALUES // max(1, report.rows.shape[1]))
+        with open(path, "wb") as fh:
+            fh.write((",".join(report.columns) + "\n").encode())
+            first = 0
+            for label, count in runs:
+                for start in range(first, first + count, step):
+                    fh.write(_csv_rows(report.rows[start:min(start + step, first + count)], label))
+                first += count
         paths.append(path)
     return paths
 

@@ -1,5 +1,6 @@
 """Tests for the experiment runner, report emission, and command line."""
 
+import hashlib
 import io
 import json
 import math
@@ -36,7 +37,7 @@ def emitted_csv(report, tmp_path) -> bytes:
 
 
 # a small valid config of every kind; labelled kinds pool two arms of 2100
-# draws, so their table spans two chunks and the arm boundary falls in the first
+# draws, so their tables hold more values than one CSV chunk
 EVERY_KIND = {
     "exactness": {"kind": "exactness", "m": 3, "n": 1, "samples": 300, "seed": 5},
     "universality": {"kind": "universality", "m": 2, "n": 2, "samples": 2100, "seed": 5,
@@ -46,6 +47,26 @@ EVERY_KIND = {
               "radial": ["gaussian", "shell:2"]},
     "girko-stable": {"kind": "girko-stable", "m": 2, "n": 1, "u": [0.75], "alpha": 1, "samples": 300, "seed": 5},
     "identities": {"kind": "identities", "max_mn": 3},
+}
+
+
+# sha256 of the JSON and the CSV each EVERY_KIND config writes.  Any change to
+# the draws, the formatting or the schema moves them; a deliberate one updates
+# them here and says so in CHANGES.md.  A different numpy or LAPACK build may
+# move the last bits of a solve, and with them these digests.
+REPORT_DIGESTS = {
+    "exactness": ("df7d20fdf5b2f36a332a91fff0cb57d0c236d7c2ec9f9ec68c0ba5d4d10327e6",
+                  "c56fb4087c9488aba970ed04f55d3e84f5d66a960667d7d4c3a1147bf291612d"),
+    "universality": ("9973b9e4f96e3f647712afe8d834a73363ce616bc58421dcebdbb2f6521712f5",
+                     "d2250edd0c4086cb97093b248515266ba886c72e499021a273c38eb92bd61a0a"),
+    "complex": ("b8eab8af054b2aaba35fe098c1fa7cc3a002a17c45ac65d810392d087ff76e81",
+                "35d3892039ec20d7ed711ab16738d4270ad38f72888ba84e10db85c97cc96b05"),
+    "girko": ("02187bb302aac71fa7c0f010db2656ca9acd1810387ced5c0d85dde47c8e29ee",
+              "8e3bb6a99b004e12a3959ec753b370682880e775e4f5a7829c49e25acf94ae0f"),
+    "girko-stable": ("aaa512f38817a4c032065484293bf1ba4cce9dc7efb6d2e63690ca9bc6701aea",
+                     "91cc1ebad98fcc29f5544e099baed4711e1abcc444a06344bd1e8ba3ade18dd4"),
+    "identities": ("973d23fb4cd1cd4ac235e6f64b6d02302b0f2e4d1c446893f8a08d8b575df524",
+                   "894012837b4b2871ed9229714d5d04ae59c11321edb735eff2106ac8f8c8955e"),
 }
 
 
@@ -387,7 +408,7 @@ class TestEmission:
     def test_csv_matches_per_row_writer(self, tmp_path, kind):
         report = cli.run(cli.parse_config(EVERY_KIND[kind]))
         assert report.passed
-        assert (len(report.rows) > cli.EMIT_ROWS) == (kind in ("universality", "complex", "girko"))
+        assert (report.rows.size > cli.EMIT_VALUES) == (kind in ("universality", "complex", "girko"))
         assert emitted_csv(report, tmp_path) == per_row_csv(report)
 
     def test_identities_dimensions_print_as_integers(self, tmp_path):
@@ -396,13 +417,13 @@ class TestEmission:
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_csv_across_the_chunk_edge(self, tmp_path, extra):
-        rows = np.random.default_rng(extra + 2).standard_cauchy((cli.EMIT_ROWS + extra, 3))
+        rows = np.random.default_rng(extra + 2).standard_cauchy((cli.EMIT_VALUES // 3 + extra, 3))
         report = cli.RunReport(config={}, columns=["a", "b", "c"], rows=rows)
         csv = emitted_csv(report, tmp_path)
         assert csv == per_row_csv(report) and csv.count(b"\n") == 1 + len(rows)
 
     def test_labelled_csv_with_arm_boundary_inside_a_chunk(self, tmp_path):
-        first, second = cli.EMIT_ROWS // 2 + 1, cli.EMIT_ROWS
+        first, second = cli.EMIT_VALUES // 4 + 1, cli.EMIT_VALUES // 2
         rows = np.random.default_rng(9).standard_normal((first + second, 2))
         report = cli.RunReport(config={}, columns=["radial", "x", "y"], rows=rows,
                                row_labels=["gaussian"] * first + ["shell:1"] * second)
@@ -412,11 +433,25 @@ class TestEmission:
         assert lines[first].startswith("gaussian,") and lines[first + 1].startswith("shell:1,")
 
     def test_csv_of_special_values(self, tmp_path):
-        rows = np.array([[-0.0, 1e-05, 1e16], [np.inf, -np.inf, np.nan], [0.1, 1.0, -2.5e-300]])
+        rows = np.array([[-0.0, 1e-05, 1e16], [np.inf, -np.inf, np.nan], [0.1, 1.0, -2.5e-300],
+                         [5e-324, -1e-323, 2.2250738585072014e-308], [2.225073858507201e-308, 0.0, -4e-320]])
         report = cli.RunReport(config={}, columns=["a", "b", "c"], rows=rows)
         csv = emitted_csv(report, tmp_path)
         assert csv == per_row_csv(report)
         assert csv.splitlines()[1:3] == [b"-0.0,1e-05,1e+16", b"inf,-inf,nan"]
+        assert csv.splitlines()[4] == b"5e-324,-1e-323,2.2250738585072014e-308"
+
+    @pytest.mark.parametrize("kind", list(EVERY_KIND))
+    def test_report_bytes_pinned(self, tmp_path, kind):
+        paths = cli.emit(cli.run(cli.parse_config(EVERY_KIND[kind])), "both", str(tmp_path / kind))
+        assert tuple(hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths) == REPORT_DIGESTS[kind]
+
+    @pytest.mark.parametrize("suffix", ["", ".json", ".csv"])
+    def test_out_suffix_is_dropped(self, tmp_path, suffix):
+        report = cli.RunReport(config={}, columns=["a"], rows=np.ones((2, 1)))
+        assert cli.emit(report, "both", str(tmp_path / "x") + suffix) == [str(tmp_path / "x.json"),
+                                                                          str(tmp_path / "x.csv")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.json"]
 
     def test_byte_identical_files(self, tmp_path):
         cfg_dict = small_config()

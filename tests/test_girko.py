@@ -159,6 +159,18 @@ class TestSampleSolution:
             girko.LinearSystemSpec(m=m, n=n, u=(1.0,))
         assert girko.LinearSystemSpec(m=2.0, n=1, u=(1.0,)).m == 2
 
+    @pytest.mark.parametrize(("u", "error"), [((math.inf,), "entries must be finite"),
+                                              ((math.nan,), "entries must be finite"),
+                                              ((-math.inf,), "entries must be finite"),
+                                              ((True,), "expected numbers"),
+                                              (np.array([False]), "expected numbers")])
+    def test_spec_and_stable_sampler_refuse_bad_parameters(self, u, error):
+        with pytest.raises(ValueError, match=f"^u: {error}"):
+            girko.LinearSystemSpec(m=2, n=1, u=u)
+        with pytest.raises(ValueError, match=f"^u: {error}"):
+            girko.stable_sampler(2, 1, u, girko.StableLaw(alpha=1))
+        assert girko.LinearSystemSpec(m=2, n=1, u=np.array([0.5])).u == (0.5,)
+
 
 class TestSystemBlocks:
     @pytest.mark.parametrize(("m", "n"), [(1, 0), (2, 1), (8, 4)])
