@@ -30,7 +30,6 @@ from .ensembles import (
     GaussianEntries,
     PartitionSpec,
     RngStream,
-    SystemSampler,
     TwoShellMixture,
     UniformBall,
     draw_block,
@@ -38,8 +37,6 @@ from .ensembles import (
     ratio_sampler,
     sample_matrix,
     sample_radius,
-    sample_system,
-    sample_unit_direction,
     sample_z,
 )
 from .girko import (
@@ -51,7 +48,6 @@ from .girko import (
     girko_stable_cdf,
     girko_stable_density,
     ratio_logdensity,
-    sample_solution,
     sample_stable_system,
     solution_sampler,
     stable_sampler,
@@ -73,7 +69,6 @@ __all__ = [
     "PartitionSpec",
     "RngStream",
     "StableLaw",
-    "SystemSampler",
     "TDistParams",
     "TwoShellMixture",
     "UniformBall",
@@ -101,15 +96,12 @@ __all__ = [
     "ratio_sampler",
     "sample_matrix",
     "sample_radius",
-    "sample_solution",
     "sample_stable_system",
-    "sample_system",
-    "sample_unit_direction",
     "sample_z",
     "selberg_Z_integral",
+    "solution_sampler",
     "solve_multi",
     "spd_logdet",
-    "solution_sampler",
     "sphere_area",
     "stable_sampler",
 ]

@@ -10,17 +10,17 @@ Suites that compare radial laws (universality and complex, one suite for
 both fields, and girko) pool one arm per law through _arms; every sampled
 suite passes each of its KS tests at significance over their count through
 _check.  A report keeps its rows as one 2-D array, one row per draw, with
-the law label of each row beside it for suites that pool arms.  Reports are
-emitted as schema-stable JSON (byte-identical across reruns of the same
-config+seed) and as CSV holding the raw per-draw statistics for external
-plotting.  floatfmt formats the CSV's float rows, at most EMIT_VALUES values
-of one label at a time, into the bytes str(float) would give.
+one (law label, row count) run per arm beside it for suites that pool
+arms.  Reports are emitted as schema-stable JSON (byte-identical across
+reruns of the same config+seed) and as CSV holding the raw per-draw
+statistics for external plotting.  floatfmt formats the CSV's float rows,
+at most EMIT_VALUES values of one label at a time, into the bytes
+str(float) would give.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -270,7 +270,7 @@ class RunReport:
     resamples: int = 0
     columns: list = field(default_factory=list)
     rows: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))  # 2-D: a row per draw (identities: per m, n)
-    row_labels: list = field(default_factory=list)  # CSV column before rows, one per row; not in payload()
+    label_runs: list = field(default_factory=list)  # (label, count) per arm: the CSV's first column; not in payload()
     wall_time_s: float = 0.0  # console only; excluded from emitted files
     arm_resamples: list = field(default_factory=list)  # per arm; console only, like wall_time_s
 
@@ -325,11 +325,11 @@ def _residual_entry(name: str, value: float, tolerance: float) -> dict:
 # block sampling
 
 
-def _pooled_rows(cfg: ExperimentConfig, report: RunReport, arm: int,
-                 sampler: ensembles.SystemSampler, row_of) -> np.ndarray:
+def _pooled_rows(cfg: ExperimentConfig, report: RunReport, arm: int, sampler, row_of) -> np.ndarray:
     """Stack row_of(Z) over cfg.samples solved systems of one arm.
 
-    Block b of this arm draws its BLOCK systems in one draw_block call, from
+    Block b of this arm draws its BLOCK systems with sampler, a function
+    (rng, k) -> (B, R), in one draw_block call, from
     a new generator on the substream (seed, arm << 32 | b), so the pooled
     rows depend on the seed alone.  row_of maps the block's (k, m, c)
     solution stack to its k report rows, so only the rows, never all
@@ -360,14 +360,13 @@ def _arms(cfg: ExperimentConfig, report: RunReport, sampler_of, row_of) -> tuple
 
     Arm a draws its systems from sampler_of(cfg.radial[a]) and reduces them
     with row_of, as _pooled_rows does.  The report's rows are the arms in
-    order, each row labelled with its arm's law; the arms returned are views
-    of them.
+    order, each run of cfg.samples rows labelled with its arm's law; the arms
+    returned are views of them.
     """
     labels = [radial_label(r) for r in cfg.radial]
     report.rows = np.concatenate([_pooled_rows(cfg, report, a, sampler_of(law), row_of)
                                   for a, law in enumerate(cfg.radial)])
-    for label in labels:
-        report.row_labels += [label] * cfg.samples
+    report.label_runs = [(label, cfg.samples) for label in labels]
     return labels, np.split(report.rows, len(labels))
 
 
@@ -554,8 +553,7 @@ def emit(report: RunReport, fmt: str, out: str) -> list[str]:
         paths.append(path)
     if fmt in ("csv", "both"):
         path = base + ".csv"
-        runs = ([(label, len(list(run))) for label, run in itertools.groupby(report.row_labels)]
-                if report.row_labels else [(None, len(report.rows))])
+        runs = report.label_runs or [(None, len(report.rows))]
         step = max(1, EMIT_VALUES // max(1, report.rows.shape[1]))
         with open(path, "wb") as fh:
             fh.write((",".join(report.columns) + "\n").encode())
@@ -718,8 +716,11 @@ def _cmd_density(args) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps({"at": at, "density": math.exp(logp), "kind": args.kind, "log_density": logp},
-                     sort_keys=True))
+    try:
+        density = math.exp(logp)
+    except OverflowError:  # a finite log density past the largest float
+        density = math.inf
+    print(json.dumps({"at": at, "density": density, "kind": args.kind, "log_density": logp}, sort_keys=True))
     return 0
 
 

@@ -152,9 +152,10 @@ def log_matrix_t(Z, params: TDistParams) -> float:
     log D - (n/2) log det Sigma - (m/2) log det Omega
           - (m+n+q-1)/2 * log det(1 + Sigma^-1 (Z-M) Omega^-1 (Z-M)^T).
 
-    The determinant is evaluated as det(Sigma)^-1 det(Sigma + K Omega^-1 K^T)
-    with K = Z - M, keeping every factorization on a positive definite
-    matrix.
+    With Cholesky factors Sigma = L L^T and Omega = R R^T, K = Z - M is
+    whitened to Y = L^-1 K R^-T, whose det(1 + Y Y^T) is the determinant
+    above; _gram_logdet takes it from Y's singular values, so no product of
+    K is formed and the value stays finite for any finite Z.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     m, n = Z.shape
@@ -162,12 +163,11 @@ def log_matrix_t(Z, params: TDistParams) -> float:
         raise ValueError(f"location must be {m}x{n}, got {params.M.shape}")
     if params.Sigma.shape != (m, m) or params.Omega.shape != (n, n):
         raise ValueError("scale matrices have inconsistent dimensions")
-    logdet_sigma = matcore.spd_logdet(params.Sigma)
-    logdet_omega = matcore.spd_logdet(params.Omega)
-    K = Z - params.M
-    # W = K Omega^-1 K^T by one LAPACK solve
-    W = K @ matcore.solve_multi(params.Omega, K.T)
-    core = matcore.spd_logdet(params.Sigma + 0.5 * (W + W.T)) - logdet_sigma
+    L, R = matcore.cholesky(params.Sigma), matcore.cholesky(params.Omega)
+    logdet_sigma = 2.0 * float(np.log(np.diagonal(L)).sum())
+    logdet_omega = 2.0 * float(np.log(np.diagonal(R)).sum())
+    Y = np.linalg.solve(L, np.linalg.solve(R, (Z - params.M).T).T)
+    core = _gram_logdet(Y)
     return (
         _log_matrix_t_norm(m, n, params.q)
         - 0.5 * n * logdet_sigma
@@ -236,10 +236,19 @@ def ortho_volume(m: int) -> float:
     return math.exp(_ordered_sum(terms))
 
 
+def _log_square_sum(beta: float, zz: float, z) -> float:
+    """log(beta^2 + zz) for zz = z^T z, as 2 log hypot(beta, *z) where the sum overflows a float."""
+    try:
+        s = beta**2 + zz
+    except OverflowError:  # a float's ** raises where numpy's would give inf
+        s = math.inf
+    return math.log(s) if s < math.inf else 2.0 * math.log(math.hypot(beta, *z))
+
+
 def cauchy_logpdf(x: float, params: CauchyParams = CauchyParams()) -> float:
     """Log density of the Cauchy law with the given location and width."""
     dx = x - params.location
-    return math.log(params.width) - LOG_PI - math.log(dx * dx + params.width**2)
+    return math.log(params.width) - LOG_PI - _log_square_sum(params.width, dx * dx, (dx,))
 
 
 def cauchy_cdf(x, params: CauchyParams = CauchyParams()):
@@ -259,4 +268,6 @@ def log_mdim_cauchy(z, beta: float = 1.0) -> float:
     z = np.atleast_1d(np.asarray(z, dtype=float))
     m = z.size
     log_c = math.log(2.0) - math.log(sphere_area(m + 1))
-    return log_c + math.log(beta) - 0.5 * (m + 1) * math.log(beta**2 + float(z @ z))
+    with np.errstate(over="ignore"):
+        zz = float(z @ z)
+    return log_c + math.log(beta) - 0.5 * (m + 1) * _log_square_sum(beta, zz, z)

@@ -11,6 +11,10 @@ to configure.
 Four radial laws are provided, deliberately dissimilar: a point mass on a
 shell, the uniform ball, the law that reproduces i.i.d. standard normal
 entries, and a bimodal two-shell mixture.
+
+A sampler is a function (rng, k) -> (B, R) that draws k linear systems
+B Z = R as stacks; draw_block draws, rejects, redraws and solves one block
+of them.  ratio_sampler splits ensemble draws A into (B, X).
 """
 
 from __future__ import annotations
@@ -163,33 +167,17 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_unit_direction(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform point on the unit sphere in d dimensions."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    while True:
-        v = rng.standard_normal(d)
-        norm = np.sqrt(v @ v)
-        if norm > 0.0:  # probability-zero guard
-            return v / norm
-
-
-def sample_radius(law: RadialLaw, d: int, rng: np.random.Generator, size: int | None = None):
-    """Draw the Frobenius radius for the given law in total dimension d.
-
-    Returns a float, or an array of `size` independent radii.
-    """
+def sample_radius(law: RadialLaw, d: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw `size` independent Frobenius radii for the given law in total dimension d."""
     if isinstance(law, GaussianEntries):
-        r = np.sqrt(rng.chisquare(d, size))
-    elif isinstance(law, FixedShell):
-        r = np.full(() if size is None else size, law.r0)
-    elif isinstance(law, UniformBall):
-        r = law.R * rng.random(size) ** (1.0 / d)
-    elif isinstance(law, TwoShellMixture):
-        r = np.where(rng.random(size) < law.w, law.r1, law.r2)
-    else:
-        raise InvalidLaw(f"unknown radial law {law!r}")
-    return float(r) if size is None else r
+        return np.sqrt(rng.chisquare(d, size))
+    if isinstance(law, FixedShell):
+        return np.full(size, law.r0)
+    if isinstance(law, UniformBall):
+        return law.R * rng.random(size) ** (1.0 / d)
+    if isinstance(law, TwoShellMixture):
+        return np.where(rng.random(size) < law.w, law.r1, law.r2)
+    raise InvalidLaw(f"unknown radial law {law!r}")
 
 
 def sample_radial_rows(law: RadialLaw, d: int, rng: np.random.Generator, k: int) -> np.ndarray:
@@ -236,46 +224,34 @@ def _partition_indices(cols: tuple[int, ...], m: int, total: int) -> tuple[np.nd
 
 
 def partition(A, p: PartitionSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Split the columns of A into (B, X) according to p.
+    """Split the columns of A, or of each matrix in a stack of them, into (B, X) by p.
 
     B collects p.b_columns in the given order; X collects the remaining
     columns in ascending order.  Raises BadPartition on duplicate or
     out-of-range indices, or when the count differs from the row count.
     """
     A = np.asarray(A)
-    m, total = A.shape
-    b_idx, x_idx = _partition_indices(p.b_columns, m, total)
-    return A[:, b_idx], A[:, x_idx]
-
-
-@dataclass(frozen=True)
-class SystemSampler:
-    """One kind of random linear system B Z = R, drawn many at a time.
-
-    draw(gen, k) makes k parent draws in one call; split(parents) turns
-    them into the stacks B (k, m, m) and R (k, m, c), writable in place.
-    """
-
-    draw: Callable[[np.random.Generator, int], np.ndarray]
-    split: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    b_idx, x_idx = _partition_indices(p.b_columns, *A.shape[-2:])
+    return A[..., b_idx], A[..., x_idx]
 
 
 def draw_block(
-    sampler: SystemSampler,
+    sampler: Callable,
     rng: np.random.Generator,
     k: int,
     max_rejects: int = 100,
 ) -> tuple[np.ndarray, int]:
-    """Draw k systems from rng and solve them all: (Z stack, rejections).
+    """Draw k systems B Z = R from rng and solve them all: (Z stack, rejections).
 
-    The k systems are drawn in one call and flagged in one
+    sampler(rng, k) draws the k systems in one call as the stacks B (k, m, m)
+    and R (k, m, c), writable in place; they are flagged in one
     matcore.near_singular call.  The numerically singular ones are redrawn
     from rng, all flagged rows in one call, until none is flagged; the
     rejections are counted.  Raises ResampleLimit once a row is flagged
     max_rejects times in a row.  Z = B^-1 R comes from one stacked LAPACK
     solve and has shape (k, m, c).
     """
-    B, R = sampler.split(sampler.draw(rng, k))
+    B, R = sampler(rng, k)
     rows = np.flatnonzero(matcore.near_singular(B))
     rejects = streak = 0  # every row still flagged has been flagged in each round so far
     while rows.size:
@@ -283,29 +259,26 @@ def draw_block(
         rejects += rows.size
         if streak >= max_rejects:
             raise ResampleLimit(f"{streak} consecutive near-singular draws")
-        B[rows], R[rows] = sampler.split(sampler.draw(rng, rows.size))
+        B[rows], R[rows] = sampler(rng, rows.size)
         rows = rows[matcore.near_singular(B[rows])]
     return np.linalg.solve(B, R), rejects
 
 
-def ratio_sampler(spec: EnsembleSpec, p: PartitionSpec | None = None) -> SystemSampler:
-    """Draws of Z = B^-1 X for ensemble draws A -> (B, X) split by p.
+def ratio_sampler(spec: EnsembleSpec, p: PartitionSpec | None = None) -> Callable:
+    """The sampler (rng, k) -> (B, X) of k ensemble draws A split by p, for draw_block.
 
     p defaults to the leading m columns; raises BadPartition for a bad p.
     """
     if p is None:
         p = PartitionSpec.leading(spec.m)
-    b_idx, x_idx = _partition_indices(p.b_columns, spec.m, spec.m + spec.n)
-    return SystemSampler(
-        draw=lambda rng, k: _matrices(spec, rng, k),
-        split=lambda A: (A[..., b_idx], A[..., x_idx]),
-    )
+    _partition_indices(p.b_columns, spec.m, spec.m + spec.n)
+    return lambda rng, k: partition(_matrices(spec, rng, k), p)
 
 
 def sample_z(
     spec: EnsembleSpec,
-    p: PartitionSpec | None = None,
-    rng: np.random.Generator | None = None,
+    p: PartitionSpec | None,
+    rng: np.random.Generator,
     max_rejects: int = 100,
 ) -> tuple[np.ndarray, int]:
     """Draw Z solving B @ Z = X for one ensemble draw A -> (B, X).
@@ -317,23 +290,5 @@ def sample_z(
     """
     if spec.n < 1:
         raise ValueError("sample_z needs n >= 1")
-    if rng is None:
-        raise ValueError("an explicit numpy Generator is required")
     Z, rejects = draw_block(ratio_sampler(spec, p), rng, 1, max_rejects)
     return Z[0], rejects
-
-
-def sample_system(
-    m: int,
-    n: int,
-    radial: RadialLaw,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the coefficient matrix and inhomogeneity (A, b) jointly.
-
-    The concatenated vector (A, b) is radius times a uniform direction in
-    dimension m*(m+n+1), so the radial law applies to tr A^T A + b^T b.
-    Real field only.
-    """
-    v = sample_radial_rows(radial, m * (m + n + 1), rng, 1)[0]
-    return v[: m * (m + n)].reshape(m, m + n), v[m * (m + n):]

@@ -106,17 +106,30 @@ class StableLaw:
 
 
 def beta_euclidean(u) -> float:
-    """Width of the solution law over a rotationally invariant ensemble."""
+    """Width sqrt(1 + u^T u) of the solution law over a rotationally invariant ensemble.
+
+    Where u^T u overflows a float, the width is math.hypot(1, *u) instead.
+    """
     u = np.asarray(u, dtype=float)
-    return math.sqrt(1.0 + float(u @ u))
+    with np.errstate(over="ignore"):
+        beta = math.sqrt(1.0 + float(u @ u))
+    return beta if beta < math.inf else math.hypot(1.0, *u)
 
 
 def beta_alpha(u, alpha: float) -> float:
-    """Width (1 + sum |u_p|^alpha)^(1/alpha) for i.i.d. stable entries."""
+    """Width (1 + sum |u_p|^alpha)^(1/alpha) for i.i.d. stable entries.
+
+    Where a power overflows a float, the largest |u_p| is factored out first.
+    """
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    u = np.asarray(u, dtype=float)
-    return float((1.0 + np.sum(np.abs(u) ** alpha)) ** (1.0 / alpha))
+    u = np.abs(np.asarray(u, dtype=float))
+    with np.errstate(over="ignore"):
+        beta = float((1.0 + np.sum(u**alpha)) ** (1.0 / alpha))
+    if beta == math.inf and np.isfinite(u).all():
+        top = float(u.max())
+        beta = top * float(((1.0 / top) ** alpha + np.sum((u / top) ** alpha)) ** (1.0 / alpha))
+    return beta
 
 
 def girko_logdensity(z, u) -> float:
@@ -133,8 +146,8 @@ def ratio_logdensity(r: float) -> float:
     return -math.log(math.pi) - math.log1p(r * r)
 
 
-def _system_split(m: int, n: int, u) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Split flat (A, b) rows, laid out as in sample_system, into B and b - X u."""
+def _system_split(m: int, n: int, u) -> Callable:
+    """Split flat (A, b) rows, A's m(m+n) entries row by row and then b, into B and b - X u."""
     u = np.asarray(u, dtype=float)
 
     def split(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,38 +158,24 @@ def _system_split(m: int, n: int, u) -> Callable[[np.ndarray], tuple[np.ndarray,
     return split
 
 
-def solution_sampler(spec: LinearSystemSpec) -> ensembles.SystemSampler:
-    """Systems B z = b - X u with (A, b) drawn jointly, as in sample_system."""
+def solution_sampler(spec: LinearSystemSpec) -> Callable:
+    """The sampler (rng, k) -> (B, b - X u) of systems B z = b - X u, for draw_block.
+
+    The flat (A, b) is radius times a uniform direction in dimension
+    m(m+n+1), so the radial law applies to tr A^T A + b^T b.
+    """
     d = spec.m * (spec.m + spec.n + 1)
-    return ensembles.SystemSampler(
-        draw=lambda rng, k: ensembles.sample_radial_rows(spec.radial, d, rng, k),
-        split=_system_split(spec.m, spec.n, spec.u),
-    )
+    split = _system_split(spec.m, spec.n, spec.u)
+    return lambda rng, k: split(ensembles.sample_radial_rows(spec.radial, d, rng, k))
 
 
-def stable_sampler(m: int, n: int, u, law: StableLaw) -> ensembles.SystemSampler:
-    """Systems B z = b - X u whose entries of A and b are i.i.d. from law."""
+def stable_sampler(m: int, n: int, u, law: StableLaw) -> Callable:
+    """The sampler of systems B z = b - X u whose entries of A and b are i.i.d. from law."""
     u = np.array(_parameters(u))
     if u.size != n:
         raise ValueError(f"u has {u.size} entries, expected n = {n}")
-    return ensembles.SystemSampler(
-        draw=lambda rng, k: law.sample((k, m * (m + n + 1)), rng),
-        split=_system_split(m, n, u),
-    )
-
-
-def sample_solution(
-    spec: LinearSystemSpec,
-    rng: np.random.Generator,
-    max_rejects: int = 100,
-) -> tuple[np.ndarray, int]:
-    """Draw one solution z of B z = b - X u for a fresh (A, b) draw.
-
-    A one-draw block of solution_sampler(spec): near-singular B draws are
-    rejected and redrawn, as in sample_z; the rejection count is returned.
-    """
-    z, rejects = ensembles.draw_block(solution_sampler(spec), rng, 1, max_rejects)
-    return z[0, :, 0], rejects
+    split = _system_split(m, n, u)
+    return lambda rng, k: split(law.sample((k, m * (m + n + 1)), rng))
 
 
 def sample_stable_system(

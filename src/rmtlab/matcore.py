@@ -72,13 +72,24 @@ def solve_multi(B, X) -> np.ndarray:
     return np.linalg.solve(_as_square(B, "B"), X)
 
 
-def _cholesky_logdet(S: np.ndarray) -> np.ndarray:
-    """log det of each Hermitian positive definite matrix in a stack."""
+def _cholesky(S: np.ndarray) -> np.ndarray:
     try:
-        L = np.linalg.cholesky(S)
+        return np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from None
-    return 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1).real).sum(axis=-1)
+
+
+def _cholesky_logdet(S: np.ndarray) -> np.ndarray:
+    """log det of each Hermitian positive definite matrix in a stack."""
+    return 2.0 * np.log(np.diagonal(_cholesky(S), axis1=-2, axis2=-1).real).sum(axis=-1)
+
+
+def cholesky(S) -> np.ndarray:
+    """Lower Cholesky factor L, S = L L^H, of a symmetric (Hermitian) positive definite S.
+
+    Raises NotPositiveDefinite when the factorization fails.
+    """
+    return _cholesky(_as_square(S, "S"))
 
 
 def spd_logdet(S) -> float:

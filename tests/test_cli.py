@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rmtlab
 from rmtlab import cli
 from rmtlab.ensembles import FixedShell, GaussianEntries, TwoShellMixture, UniformBall
 
@@ -26,9 +27,10 @@ def small_config(**overrides):
 def per_row_csv(report) -> bytes:
     """The CSV as a per-row loop writes it: a label first where the suite has them."""
     rows = report.rows.tolist()
-    if report.row_labels:
-        assert len(report.row_labels) == len(rows)
-        rows = [[label, *r] for label, r in zip(report.row_labels, rows)]
+    labels = [label for label, count in report.label_runs for _ in range(count)]
+    if labels:
+        assert len(labels) == len(rows)
+        rows = [[label, *r] for label, r in zip(labels, rows)]
     return "".join(",".join(str(v) for v in row) + "\n" for row in [report.columns, *rows]).encode()
 
 
@@ -81,13 +83,15 @@ def fresh_python(code: str, *args: str) -> str:
 
 class TestImportCost:
     def test_import_and_parse_load_no_scipy(self):
-        # scipy costs most of the start-up time; only adaptive quadrature needs it
+        # scipy costs most of the start-up time; only adaptive quadrature needs it.
+        # numpy.random loads on first use too, unless an annotation is evaluated at import
         code = ("import json, sys\n"
                 "from rmtlab import cli\n"
                 "for raw in json.loads(sys.argv[1]):\n"
                 "    cli.parse_config(raw)\n"
-                "print(json.dumps(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')))\n")
-        assert json.loads(fresh_python(code, json.dumps(list(EVERY_KIND.values())))) == []
+                "print(json.dumps([sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'),"
+                " 'numpy.random' in sys.modules]))\n")
+        assert json.loads(fresh_python(code, json.dumps(list(EVERY_KIND.values())))) == [[], False]
 
     def test_alpha2_quadrature_loads_scipy_on_first_use(self):
         code = ("import json, sys\n"
@@ -98,6 +102,12 @@ class TestImportCost:
         raw = dict(EVERY_KIND["girko-stable"], alpha=2)
         passed, names, loaded = json.loads(fresh_python(code, json.dumps(raw)))
         assert passed and "quadrature-vs-cauchy-grid" in names and loaded
+
+
+def test_exports_are_sorted_unique_and_resolve():
+    names = rmtlab.__all__
+    assert names == sorted(set(names))
+    assert all(hasattr(rmtlab, name) for name in names)
 
 
 class TestConfigParsing:
@@ -426,7 +436,7 @@ class TestEmission:
         first, second = cli.EMIT_VALUES // 4 + 1, cli.EMIT_VALUES // 2
         rows = np.random.default_rng(9).standard_normal((first + second, 2))
         report = cli.RunReport(config={}, columns=["radial", "x", "y"], rows=rows,
-                               row_labels=["gaussian"] * first + ["shell:1"] * second)
+                               label_runs=[("gaussian", first), ("shell:1", second)])
         csv = emitted_csv(report, tmp_path)
         assert csv == per_row_csv(report)
         lines = csv.decode().splitlines()
@@ -524,6 +534,28 @@ class TestCommandLine:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert math.isfinite(payload["log_density"]) and payload["density"] == 0.0
+
+    @pytest.mark.parametrize(("params", "at", "want"), [
+        ({"u": [1e200]}, [0.5], -math.log(math.pi) - 200 * math.log(10.0)),
+        ({"u": [0.75]}, [1e200, 1e200],
+         math.log(1.25 / (2 * math.pi)) - 1.5 * (math.log(2.0) + 400 * math.log(10.0))),
+    ])
+    def test_density_girko_at_huge_values(self, capsys, params, at, want):
+        assert cli.main(["density", "--kind", "girko", "--params", json.dumps(params), "--at", json.dumps(at)]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["log_density"] - want) <= 1e-12 * abs(want)
+
+    def test_density_matrix_t_at_huge_entries(self, capsys):
+        densities = []
+        for kind in ("matrix-t", "universal-real"):
+            assert cli.main(["density", "--kind", kind, "--at", "[[1e200]]"]) == 0
+            densities.append(json.loads(capsys.readouterr().out)["log_density"])
+        assert math.isfinite(densities[0]) and abs(densities[0] - densities[1]) <= 1e-12 * abs(densities[1])
+
+    def test_density_past_the_largest_float(self, capsys):
+        params = {"Sigma": (1e-300 * np.eye(3)).tolist()}
+        assert cli.main(["density", "--kind", "matrix-t", "--params", json.dumps(params), "--at", "[[0],[0],[0]]"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert math.isfinite(payload["log_density"]) and payload["density"] == math.inf
 
     def test_density_matrix_t(self, capsys):
         code = cli.main([

@@ -66,7 +66,9 @@ class TestUniversalReal:
         # scalar case: 2e4 ensemble draws against the arctan CDF
         spec = en.EnsembleSpec(m=1, n=1)
         gen = en.RngStream(20260808, 0).generator()
-        draws = np.array([en.sample_z(spec, None, gen)[0][0, 0] for _ in range(20_000)])
+        sampler = en.ratio_sampler(spec)
+        draws = np.concatenate([en.draw_block(sampler, gen, min(en.BLOCK, 20_000 - i))[0][:, 0, 0]
+                                for i in range(0, 20_000, en.BLOCK)])
         rep = stats.ks_one_sample(draws, de.cauchy_cdf)
         assert rep.p_value > 1e-3
 
@@ -77,6 +79,8 @@ class TestUniversalReal:
         for Z, m, n in (([[1e200], [0.0]], 2, 1), ([[1e200, 0.0], [0.0, 0.0]], 2, 2), ([[1e200, 1e200]], 1, 2)):
             want = de.log_universal_real_norm(m, n) - 0.5 * (m + n) * (big + (math.log(2.0) if m == 1 else 0.0))
             assert abs(de.log_universal_real(Z) - want) <= 1e-12 * abs(want)
+            # the matrix t member (0, I, I, 1) is the same law and stays as finite
+            assert abs(de.log_matrix_t(Z, de.TDistParams.spherical(m, n)) - want) <= 1e-12 * abs(want)
 
     def test_matches_gram_cholesky(self):
         rng = np.random.default_rng(23)
@@ -171,6 +175,12 @@ class TestMatrixT:
     def test_scalar_value(self):
         params = de.TDistParams.spherical(1, 1)
         assert abs(de.log_matrix_t([[1.0]], params) - math.log(1 / (2 * math.pi))) < 1e-12
+
+    def test_finite_at_a_tiny_scale(self):
+        # Sigma = 1e-300 I: the log density at the location is 450 log 10 above the norm constant
+        params = de.TDistParams(M=np.zeros((3, 1)), Sigma=1e-300 * np.eye(3), Omega=np.eye(1))
+        want = de._log_matrix_t_norm(3, 1, 1.0) + 450.0 * math.log(10.0)
+        assert abs(de.log_matrix_t(np.zeros((3, 1)), params) - want) <= 1e-12 * want
 
     def test_general_family_normalizes(self):
         # scalar member with q = 3 is a rescaled Student t; quadrature = 1
@@ -283,6 +293,11 @@ class TestCauchy:
         with pytest.raises(ValueError):
             de.CauchyParams(0.0, 0.0)
 
+    def test_finite_at_huge_width_and_point(self):
+        # width^2 and x^2 overflow a float past ~1.3e154
+        assert abs(de.cauchy_logpdf(0.0, de.CauchyParams(0.0, 1e160)) + de.LOG_PI + 160 * math.log(10.0)) < 1e-12
+        assert abs(de.cauchy_logpdf(1e200) + de.LOG_PI + 400 * math.log(10.0)) < 1e-12
+
 
 class TestMdimCauchy:
     def test_reduces_to_standard(self):
@@ -291,6 +306,11 @@ class TestMdimCauchy:
 
     def test_two_dim_at_origin(self):
         assert abs(de.log_mdim_cauchy([0.0, 0.0], 1.0) - math.log(1 / (2 * math.pi))) < 1e-12
+
+    def test_finite_at_huge_entries(self):
+        # z^T z = 2e400 overflows a float; log(1 + 2e400) = log 2 + 400 log 10
+        want = math.log(1 / (2 * math.pi)) - 1.5 * (math.log(2.0) + 400 * math.log(10.0))
+        assert abs(de.log_mdim_cauchy([1e200, 1e200], 1.0) - want) <= 1e-12 * abs(want)
 
     def test_normalization_by_quadrature(self):
         val = polar_integral(lambda r: math.exp(de.log_mdim_cauchy([r, 0.0], 1.0)), 2)

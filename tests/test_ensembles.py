@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from rmtlab import cli, matcore, stats
+from rmtlab import cli, girko, matcore, stats
 from rmtlab import densities as de
 from rmtlab import ensembles as en
 
@@ -22,58 +22,54 @@ def block_draws(sampler, g, count):
 
 
 def parent_draws(spec, g, count):
-    """count parent matrices (count, m, m + n) drawn from g by the block sampler, BLOCK at a time."""
-    draw = en.ratio_sampler(spec).draw
-    return np.concatenate([draw(g, min(en.BLOCK, count - i)) for i in range(0, count, en.BLOCK)])
+    """count parent matrices (count, m, m + n) drawn from g as the block sampler draws them, BLOCK at a time."""
+    return np.concatenate([en._matrices(spec, g, min(en.BLOCK, count - i)) for i in range(0, count, en.BLOCK)])
+
+
+def unit_directions(d, g, k):
+    """k uniform directions in d dimensions: the rows the samplers draw on the unit shell."""
+    return en.sample_radial_rows(en.FixedShell(1.0), d, g, k)
 
 
 class TestUnitDirection:
     def test_unit_norm_every_draw(self):
         g = gen(1)
         for d in (1, 2, 7, 40):
-            for _ in range(50):
-                v = en.sample_unit_direction(d, g)
-                assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+            V = unit_directions(d, g, 50)
+            assert np.abs(np.linalg.norm(V, axis=1) - 1.0).max() < 1e-12
 
     def test_d1_is_fair_sign(self):
-        g = gen(2)
-        draws = np.array([en.sample_unit_direction(1, g)[0] for _ in range(4000)])
-        assert set(np.unique(draws)) == {-1.0, 1.0}
-        assert abs(draws.mean()) < 4.0 / math.sqrt(4000)
+        # rows are scaled by r / |v| in one multiply, so +-1 may come out one ulp short
+        draws = unit_directions(1, gen(2), 4000)[:, 0]
+        assert np.abs(np.abs(draws) - 1.0).max() <= 2.0**-53
+        assert abs(np.sign(draws).mean()) < 4.0 / math.sqrt(4000)
 
     def test_d3_coordinate_moments(self):
         # each coordinate of a uniform point on S^2 has mean 0, variance 1/3
-        g = gen(3)
         N = 100_000
-        total = np.zeros(3)
-        for _ in range(N):
-            total += en.sample_unit_direction(3, g)
+        mean = unit_directions(3, gen(3), N).mean(axis=0)
         sigma = math.sqrt(1.0 / (3 * N))
-        assert np.abs(total / N).max() < 3.0 * sigma
+        assert np.abs(mean).max() < 3.0 * sigma
 
 
 class TestRadialLaws:
     def test_fixed_shell_constant(self):
-        g = gen(4)
-        for _ in range(100):
-            assert en.sample_radius(en.FixedShell(2.5), 6, g) == 2.5
+        radii = en.sample_radius(en.FixedShell(2.5), 6, gen(4), size=100)
+        assert radii.shape == (100,) and (radii == 2.5).all()
 
     def test_uniform_ball_cdf(self):
         # in the plane, the radius CDF of a uniform disc point is r^2
-        g = gen(5)
-        draws = [en.sample_radius(en.UniformBall(1.0), 2, g) for _ in range(20_000)]
+        draws = en.sample_radius(en.UniformBall(1.0), 2, gen(5), size=20_000)
         rep = stats.ks_one_sample(draws, lambda r: np.clip(r * r, 0.0, 1.0))
         assert rep.p_value > 1e-3
 
     def test_gaussian_radius_mean_square(self):
-        g = gen(6)
-        sq = np.array([en.sample_radius(en.GaussianEntries(), 4, g) ** 2 for _ in range(20_000)])
+        sq = en.sample_radius(en.GaussianEntries(), 4, gen(6), size=20_000) ** 2
         est = stats.mc_mean(sq)
         assert abs(est.mean - 4.0) < 4.0 * est.stderr
 
     def test_two_shell_mixture(self):
-        g = gen(7)
-        draws = np.array([en.sample_radius(en.TwoShellMixture(1.0, 3.0, 0.25), 5, g) for _ in range(20_000)])
+        draws = en.sample_radius(en.TwoShellMixture(1.0, 3.0, 0.25), 5, gen(7), size=20_000)
         assert set(np.unique(draws)) == {1.0, 3.0}
         frac = (draws == 1.0).mean()
         assert abs(frac - 0.25) < 4.0 * math.sqrt(0.25 * 0.75 / 20_000)
@@ -159,6 +155,14 @@ class TestPartition:
         assert B.tolist() == [[3.0, 1.0], [6.0, 4.0]]
         assert X.tolist() == [[2.0], [5.0]]
 
+    def test_stack_splits_each_matrix(self):
+        stack = np.stack([self.A, -self.A, 2.0 * self.A])
+        B, X = en.partition(stack, en.PartitionSpec([3, 1]))
+        assert B.shape == (3, 2, 2) and X.shape == (3, 2, 1)
+        for A, b, x in zip(stack, B, X):
+            want_b, want_x = en.partition(A, en.PartitionSpec([3, 1]))
+            assert np.array_equal(b, want_b) and np.array_equal(x, want_x)
+
     def test_n_zero(self):
         A = np.array([[1.0, 2.0], [3.0, 4.0]])
         B, X = en.partition(A, en.PartitionSpec([1, 2]))
@@ -173,6 +177,8 @@ class TestPartition:
             en.partition(self.A, en.PartitionSpec([1, 4]))
         with pytest.raises(en.BadPartition):
             en.partition(self.A, en.PartitionSpec([1, 2, 3]))
+        with pytest.raises(en.BadPartition):  # when the sampler is built, before any draw
+            en.ratio_sampler(en.EnsembleSpec(m=2, n=1), en.PartitionSpec([1, 1]))
 
 
 class TestSampleZ:
@@ -314,21 +320,21 @@ class TestReproducibility:
 
 
 class TestSampleSystem:
+    """The (B, R) stacks of the joint (A, b) sampler, girko.solution_sampler."""
+
     def test_fixed_shell_joint_norm(self):
-        g = gen(24)
-        for _ in range(100):
-            A, b = en.sample_system(2, 1, en.FixedShell(1.0), g)
-            assert abs(np.sum(A * A) + b @ b - 1.0) < 1e-12
+        # at n = 0, A is B and R is b, so the stacks hold the whole (A, b)
+        spec = girko.LinearSystemSpec(2, 0, (), radial=en.FixedShell(1.0))
+        B, R = girko.solution_sampler(spec)(gen(24), 100)
+        assert np.abs(np.sum(B * B, axis=(1, 2)) + np.sum(R * R, axis=(1, 2)) - 1.0).max() < 1e-12
 
     def test_gaussian_entries(self):
-        g = gen(25)
-        scalars = []
-        for _ in range(5000):
-            A, b = en.sample_system(1, 1, en.GaussianEntries(), g)
-            scalars.extend([A[0, 0], A[0, 1], b[0]])
+        # B = A[0, 0] and R = b - A[0, 1], with variance 2, from i.i.d. standard normal entries
+        B, R = girko.solution_sampler(girko.LinearSystemSpec(1, 1, (1.0,)))(gen(25), 5000)
+        scalars = np.concatenate([B.ravel(), R.ravel() / math.sqrt(2.0)])
         rep = stats.ks_one_sample(scalars, lambda x: 0.5 * erfc(-x / math.sqrt(2.0)))
         assert rep.p_value > 1e-3
 
     def test_n_zero_shapes(self):
-        A, b = en.sample_system(3, 0, en.GaussianEntries(), gen(26))
-        assert A.shape == (3, 3) and b.shape == (3,)
+        B, R = girko.solution_sampler(girko.LinearSystemSpec(3, 0))(gen(26), 1)
+        assert B.shape == (1, 3, 3) and R.shape == (1, 3, 1)

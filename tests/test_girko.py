@@ -53,11 +53,24 @@ class TestBetaWidths:
         with pytest.raises(ValueError):
             girko.beta_alpha([1.0], 2.5)
 
+    def test_finite_at_huge_parameters(self):
+        # u^T u and |u|^alpha overflow a float past ~1.3e154
+        assert girko.beta_euclidean([1e160]) == girko.beta_alpha([1e160], 2) == 1e160
+        assert abs(girko.beta_euclidean([3e200, 4e200]) / 5e200 - 1.0) < 1e-15
+        assert abs(girko.beta_alpha([3e200, 4e200], 2) / 5e200 - 1.0) < 1e-15
+        assert abs(girko.beta_alpha([1e300], 1.5) / 1e300 - 1.0) < 1e-15
+
 
 class TestGirkoDensity:
     def test_scalar_is_standard_cauchy(self):
         for z in (-1.0, 0.0, 2.0):
             assert abs(girko.girko_logdensity([z], ()) - de.cauchy_logpdf(z)) < 1e-14
+
+    def test_finite_at_huge_entries(self):
+        # m = 1: log(beta / (beta^2 + z^2) / pi) with beta = 1e200 or z = 1e200
+        assert abs(girko.girko_logdensity([0.5], [1e200]) + de.LOG_PI + 200 * math.log(10.0)) < 1e-12
+        want = math.log(1.0 / (2 * math.pi)) + math.log(1.25) - 1.5 * (math.log(2.0) + 400 * math.log(10.0))
+        assert abs(girko.girko_logdensity([1e200, 1e200], [0.75]) - want) <= 1e-12 * abs(want)
 
     def test_plugin_value(self):
         # at the origin the density is C / beta^m with C = 1/(2 pi) for m = 2
@@ -175,13 +188,12 @@ class TestSampleSolution:
 class TestSystemBlocks:
     @pytest.mark.parametrize(("m", "n"), [(1, 0), (2, 1), (8, 4)])
     def test_solves_the_regenerated_system(self, m, n):
-        # a one-draw block consumes the substream exactly like sample_system
-        u = np.linspace(-1.0, 1.0, n)
-        z, rej = girko.sample_solution(girko.LinearSystemSpec(m, n, u), gen(47))
-        A, b = en.sample_system(m, n, en.GaussianEntries(), gen(47))
-        B, X = A[:, :m], A[:, m:]
-        assert rej == 0 and z.shape == (m,)
-        assert np.abs(B @ z - (b - X @ u)).max() <= 1e-10 * np.abs(B).max() * np.abs(z).max()
+        # a one-draw block consumes the substream exactly like one sampler call
+        sampler = girko.solution_sampler(girko.LinearSystemSpec(m, n, np.linspace(-1.0, 1.0, n)))
+        z, rej = en.draw_block(sampler, gen(47), 1)
+        B, R = sampler(gen(47), 1)
+        assert rej == 0 and z.shape == (1, m, 1)
+        assert np.abs(B @ z - R).max() <= 1e-10 * np.abs(B).max() * np.abs(z).max()
 
     def test_stable_block_bytes(self):
         sampler = girko.stable_sampler(3, 1, (0.5,), girko.StableLaw(alpha=1))
@@ -197,7 +209,18 @@ class TestSystemBlocks:
         three = cli.run(cli.parse_config(dict(raw, shards=3)))
         assert one.resamples > 0 and one.resamples == three.resamples
         assert all(math.isfinite(v) for row in one.rows for v in row if not isinstance(v, str))
-        assert np.array_equal(one.rows, three.rows) and one.row_labels == three.row_labels
+        assert np.array_equal(one.rows, three.rows) and one.label_runs == three.label_runs
+
+
+@pytest.mark.parametrize("raw", [
+    {"kind": "girko", "m": 2, "n": 1, "u": [1e160], "radial": ["gaussian", "shell:2"]},
+    {"kind": "girko-stable", "m": 1, "n": 1, "u": [1e160], "alpha": 2},
+    {"kind": "girko-stable", "m": 1, "n": 1, "u": [1e300], "alpha": 2},
+])
+def test_suites_pass_at_huge_parameters(raw):
+    # the widths once overflowed to inf here: D = 0.5, or a quadrature at nan
+    report = cli.run(cli.parse_config(dict(raw, samples=2000, seed=5)))
+    assert report.passed, report.failing
 
 
 class TestStableDensityQuadrature:

@@ -186,11 +186,12 @@ def test_resample_limit_in_a_later_block_raises(bad_block, seed):
     # are ordinary
     base = en.ratio_sampler(en.EnsembleSpec(m=2, n=1))
 
-    def draw(rng, k):
+    def sampler(rng, k):
         block = int(rng.bit_generator.state["state"]["key"][1]) & 0xFFFFFFFF
-        return base.draw(rng, k) * (0.0 if block == bad_block else 1.0)
+        B, X = base(rng, k)
+        scale = 0.0 if block == bad_block else 1.0
+        return B * scale, X * scale
 
-    sampler = en.SystemSampler(draw=draw, split=base.split)
     cfg = cli.ExperimentConfig(kind="exactness", seed=seed, samples=1100)
     with pytest.raises(en.ResampleLimit):
         cli._pooled_rows(cfg, cli.RunReport(config={}), 0, sampler, cli._first_column)
