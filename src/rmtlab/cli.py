@@ -12,10 +12,10 @@ suite passes each of its KS tests at significance over their count through
 _check.  A report keeps its rows as one 2-D array, one row per draw, with
 one (law label, row count) run per arm beside it for suites that pool
 arms.  Reports are emitted as schema-stable JSON (byte-identical across
-reruns of the same config+seed) and as CSV holding the raw per-draw
-statistics for external plotting.  floatfmt formats the CSV's float rows,
-at most EMIT_VALUES values of one label at a time, into the bytes
-str(float) would give.
+reruns of the same config+seed), whose entries RunReport.to_json writes
+with json's C encoder, and as CSV holding the raw per-draw statistics.
+floatfmt formats the CSV's float rows, at most EMIT_VALUES values of one
+label at a time, into the bytes str(float) would give.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ MAX_DIM = 64
 MAX_SAMPLES = 10_000_000
 MAX_MN = 20  # largest identities grid; beyond it a Gaussian determinant integral overflows
 MAX_SEED = 2**64 - 1  # Philox keys on 64 bits, so a wider seed would alias a narrower one
+# json's C encoder runs only without indent, so the entries' indents come in the separators
+_ENTRIES = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 
 
 class ConfigError(ValueError):
@@ -293,7 +295,17 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.payload(), indent=2, sort_keys=True) + "\n"
+        """json.dumps(self.payload(), indent=2, sort_keys=True) + "\n", the entries C-encoded.
+
+        Entries are flat dicts of JSON scalars and JSON escapes newlines in
+        strings, so _ENTRIES writes "},\n      {" only between two entries.
+        """
+        head = json.dumps(dict(self.payload(), entries=[]), indent=2, sort_keys=True)
+        entries = _ENTRIES.encode(self.entries)
+        if self.entries:
+            inner = entries[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+            entries = "[\n    {\n      " + inner + "\n    }\n  ]"
+        return head.replace('\n  "entries": [],', '\n  "entries": ' + entries + ",", 1) + "\n"
 
 
 def _ks_entry(name: str, report: stats.KsReport) -> dict:
@@ -485,9 +497,9 @@ def _run_girko_stable(cfg: ExperimentConfig, report: RunReport) -> None:
     report.columns = [f"z{i + 1}" for i in range(cfg.m)]
     report.rows = rows
     if cfg.alpha == 2:
-        # closed form available: quadrature must agree with the Cauchy law
+        # quadrature must agree with the Cauchy law; both are f(x / beta) / beta, so compare f
         grid = np.linspace(-3.0 * beta, 3.0 * beta, 10)
-        worst = max(
+        worst = beta * max(
             abs(girko.girko_stable_density(float(x), law, beta)
                 - math.exp(densities.cauchy_logpdf(float(x), CauchyParams(0.0, beta))))
             for x in grid

@@ -22,6 +22,7 @@ import numpy as np
 from . import matcore
 
 LOG_PI = math.log(math.pi)
+LN2 = math.log(2.0)
 
 
 def _ordered_sum(terms) -> float:
@@ -100,19 +101,21 @@ def log_universal_complex_norm(m: int, n: int) -> float:
     return _ordered_sum(terms)
 
 
-def _gram_logdet(Z: np.ndarray) -> float:
-    """log det(1 + Z Z^H), as the sum of log(1 + sigma^2) over Z's singular values.
+def _gram_logdet(Z: np.ndarray, e: int = 0) -> float:
+    """log det(1 + W W^H), W = 2^e Z with e >= 0, as the sum of log(1 + sigma^2) over W's singular values.
 
-    Above sigma = 1 each term is taken as 2 log sigma + log1p(sigma^-2), so
-    the value stays finite and accurate for any finite Z.  Forming Z Z^H
-    instead would overflow past |Z| ~ 1e154, and a Cholesky factorization
-    of it loses the small singular values once the large ones pass ~1e8.
+    Above sigma = 1 each term is 2 (log(2^-e sigma) + e log 2) + log1p(sigma^-2),
+    so the value stays finite and accurate for any finite Z and e.  Forming
+    W W^H instead would overflow past |W| ~ 1e154, and a Cholesky
+    factorization of it loses the small singular values once the large ones
+    pass ~1e8.
     """
     if not np.isfinite(Z).all():
         raise ValueError("Z contains non-finite entries")
-    sigma = np.linalg.svd(Z, compute_uv=False)
-    small, large = sigma[sigma <= 1.0], sigma[sigma > 1.0]
-    return float(np.log1p(small * small).sum() + (2.0 * np.log(large) + np.log1p(large**-2.0)).sum())
+    tau = np.linalg.svd(Z, compute_uv=False)  # W's singular values over 2^e
+    small, large = np.ldexp(tau[tau <= 2.0**-e], e), tau[tau > 2.0**-e]
+    inv = np.ldexp(1.0 / large, -e)  # 1 / sigma, below 1
+    return float(np.log1p(small * small).sum() + (2.0 * (np.log(large) + e * LN2) + np.log1p(inv * inv)).sum())
 
 
 def log_universal_real(Z) -> float:
@@ -155,7 +158,8 @@ def log_matrix_t(Z, params: TDistParams) -> float:
     With Cholesky factors Sigma = L L^T and Omega = R R^T, K = Z - M is
     whitened to Y = L^-1 K R^-T, whose det(1 + Y Y^T) is the determinant
     above; _gram_logdet takes it from Y's singular values, so no product of
-    K is formed and the value stays finite for any finite Z.
+    K is formed.  K is scaled to 2^-e K, at most 1, before the solves, so the
+    value stays finite for any finite Z even where Y would overflow.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     m, n = Z.shape
@@ -166,8 +170,10 @@ def log_matrix_t(Z, params: TDistParams) -> float:
     L, R = matcore.cholesky(params.Sigma), matcore.cholesky(params.Omega)
     logdet_sigma = 2.0 * float(np.log(np.diagonal(L)).sum())
     logdet_omega = 2.0 * float(np.log(np.diagonal(R)).sum())
-    Y = np.linalg.solve(L, np.linalg.solve(R, (Z - params.M).T).T)
-    core = _gram_logdet(Y)
+    K = Z - params.M
+    e = max(0, math.frexp(np.abs(K).max())[1])  # |2^-e K| <= 1: the solves overflow only on L's and R's size
+    Y = np.linalg.solve(L, np.linalg.solve(R, np.ldexp(K, -e).T).T)
+    core = _gram_logdet(Y, e)
     return (
         _log_matrix_t_norm(m, n, params.q)
         - 0.5 * n * logdet_sigma

@@ -210,7 +210,7 @@ def sample_matrix(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _partition_indices(cols: tuple[int, ...], m: int, total: int) -> tuple[np.ndarray, np.ndarray]:
+def _partition_indices(cols: tuple[int, ...], m: int, total: int) -> tuple[slice | np.ndarray, ...]:
     if len(cols) != m:
         raise BadPartition(f"need {m} B-columns, got {len(cols)}")
     if len(set(cols)) != len(cols):
@@ -218,17 +218,19 @@ def _partition_indices(cols: tuple[int, ...], m: int, total: int) -> tuple[np.nd
     if any(c < 1 or c > total for c in cols):
         raise BadPartition(f"column index out of range 1..{total} in {cols}")
     chosen = set(cols)
-    b_idx = np.array([c - 1 for c in cols])
-    x_idx = np.array([j for j in range(total) if j + 1 not in chosen], dtype=int)
-    return b_idx, x_idx
+    b_idx, x_idx = [c - 1 for c in cols], [j for j in range(total) if j + 1 not in chosen]
+    # an ascending run indexes as a basic slice, so that A[..., idx] is a view
+    return tuple(slice(i[0], i[-1] + 1) if i and i == list(range(i[0], i[-1] + 1)) else np.array(i, dtype=int)
+                 for i in (b_idx, x_idx))
 
 
 def partition(A, p: PartitionSpec) -> tuple[np.ndarray, np.ndarray]:
     """Split the columns of A, or of each matrix in a stack of them, into (B, X) by p.
 
     B collects p.b_columns in the given order; X collects the remaining
-    columns in ascending order.  Raises BadPartition on duplicate or
-    out-of-range indices, or when the count differs from the row count.
+    columns in ascending order; either is a view of A when its columns are an
+    ascending run.  Raises BadPartition on duplicate or out-of-range indices,
+    or when the count differs from the row count.
     """
     A = np.asarray(A)
     b_idx, x_idx = _partition_indices(p.b_columns, *A.shape[-2:])

@@ -99,17 +99,21 @@ def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.frombuffer(exponents, dtype=np.uint8).reshape(-1, 5))
 
 
-def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The high 64 bits of the 128-bit products a b of uint64 arrays."""
-    a0, a1 = a & MASK32, a >> 32
-    b0, b1 = b & MASK32, b >> 32
+def _split(a: np.ndarray) -> tuple:
+    """A uint64 array with its low and high 32-bit halves."""
+    return a, a & MASK32, a >> 32
+
+
+def _mulhi(a: tuple, b: tuple) -> np.ndarray:
+    """The high 64 bits of the 128-bit products a b of uint64 arrays split by _split."""
+    (_, a0, a1), (_, b0, b1) = a, b
     mid = a1 * b0 + (a0 * b0 >> 32)  # at most 2^64 - 2^32: no wrap
     return a1 * b1 + (mid >> 32) + ((mid & MASK32) + a0 * b1 >> 32)
 
 
-def _round_to_odd(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
+def _round_to_odd(g1: tuple, g0: tuple, cp: tuple) -> np.ndarray:
     """floor(g cp 2^-127), with its lowest bit set when the floor is inexact."""
-    z = (g1 * cp >> 1) + _mulhi(g0, cp)
+    z = (g1[0] * cp[0] >> 1) + _mulhi(g0, cp)
     return _mulhi(g1, cp) + (z >> 63) | (z & MASK63) + MASK63 >> 63
 
 
@@ -125,9 +129,9 @@ def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     irregular = (c == 2**52) & (q > -1074)
     k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41  # floor(log10(2^q)), or of 3/4 2^q
     h = (q + ((-k * 913_124_641_741) >> 38) + 2).astype(np.uint8)  # q + floor(log2(10^-k)) + 2
-    g1, g0 = (table[k - K_MIN] for table in _powers_of_ten())
+    g1, g0 = (_split(table[k - K_MIN]) for table in _powers_of_ten())
     cb = c << 2
-    vb, vbl, vbr = (_round_to_odd(g1, g0, cp << h) for cp in (cb, cb - 2 + irregular, cb + 2))
+    vb, vbl, vbr = (_round_to_odd(g1, g0, _split(cp << h)) for cp in (cb, cb - 2 + irregular, cb + 2))
     out = c & 1  # an odd c leaves the interval's ends out
     s = vb >> 2
     sp10 = s // 10 * 10
@@ -170,7 +174,7 @@ def _text(block: np.ndarray, prefix: str) -> np.ndarray:
     top, hi = np.divmod(hi.astype(np.uint32), 10**8)
     groups = (top, *np.divmod(hi, 10**4), *np.divmod(lo.astype(np.uint32), 10**4))
     quads, zeros = _quads()
-    trailing = np.min([zeros[g] + 4 * (4 - i) for i, g in enumerate(groups)], axis=0)
+    trailing = functools.reduce(np.minimum, (zeros[g] + 4 * (4 - i) for i, g in enumerate(groups)))
     lead = f < 10**16  # f has 16 digits, so its first is a padding zero
     decpt = 17 - lead + k  # x = 0.d1d2... 10^decpt
     form = np.where((decpt >= -3) & (decpt <= 16), decpt + 3, _FORMS - 1)
@@ -185,7 +189,8 @@ def _text(block: np.ndarray, prefix: str) -> np.ndarray:
     digits = quads[np.stack(groups, axis=-1)].view(np.uint8).reshape(rows, cols, 20)
     digits &= np.take(digit_masks, layout, axis=0)
     text[..., 3:42:2] = digits
-    np.take(exponents, decpt - (K_MIN + 16), axis=0, out=text[..., 44:49], mode="clip")
+    where = np.nonzero(form == _FORMS - 1)  # only exponent form writes an exponent
+    text[where + (slice(44, 49),)] = exponents[decpt[where] - (K_MIN + 16)]
     text[:, -1, -1] = ord("\n")
 
     for r, j in zip(*np.nonzero(special)):

@@ -4,6 +4,8 @@ Solves, log-determinants and Cholesky factorizations go to numpy's LAPACK,
 stacked over many small matrices at once where the samplers need them.
 Only the near-singularity rejection rule stays written out: a partial-pivot
 elimination over a stack of matrices that keeps just the pivot magnitudes.
+It runs on a k-last (m, m, k) copy of the stack, so that each pivot search,
+row swap and update is one numpy call over contiguous k-vectors.
 Determinants are only ever formed in the log domain.
 """
 
@@ -41,26 +43,26 @@ def near_singular(B) -> np.ndarray:
     flagged instead of raising.
     """
     A = np.asarray(B, dtype=np.result_type(B, np.float64))
-    k, m, _ = A.shape
+    m = A.shape[-1]
     if m == 1:  # the one pivot is the entry itself: min = max = |b|
         a = np.abs(A[:, 0, 0])
         return ~(a > NEAR_SINGULAR_RATIO * a)
-    A = A.copy()
-    rows = np.arange(k)
-    pivots = np.empty((k, m))
+    T = A.transpose(1, 2, 0).copy()  # (m, m, k): each step runs over contiguous k-vectors
+    pivots = np.empty(T.shape[1:])
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(m - 1):
-            # columns left of j are never read again, so only j: is swapped
-            p = j + np.argmax(np.abs(A[:, j:, j]), axis=1)
-            top = A[:, j, j:].copy()
-            A[:, j, j:] = A[rows, p, j:]
-            A[rows, p, j:] = top
-            d = A[:, j, j]
-            pivots[:, j] = np.abs(d)
-            mult = A[:, j + 1:, j] / d[:, None]
-            A[:, j + 1:, j + 1:] -= mult[:, :, None] * A[:, j, None, j + 1:]
-    pivots[:, -1] = np.abs(A[:, -1, -1])  # the last step has one candidate row
-    return ~(pivots.min(axis=-1) > NEAR_SINGULAR_RATIO * pivots.max(axis=-1))
+            # columns left of j are never read again, so only j: is swapped:
+            # the pivot row is read out, then row j moves to the pivot row's old place
+            p = np.argmax(np.abs(T[j:, j]), axis=0)[None, None]
+            pivot_row = np.take_along_axis(T[j:, j:], p, axis=0)[0]
+            T[j:, j:] = np.where(np.arange(m - j)[:, None, None] == p, T[j, j:], T[j:, j:])
+            T[j, j:] = pivot_row
+            d = T[j, j]
+            pivots[j] = np.abs(d)
+            mult = T[j + 1:, j] / d
+            T[j + 1:, j + 1:] -= mult[:, None] * T[j, None, j + 1:]
+    pivots[-1] = np.abs(T[-1, -1])  # the last step has one candidate row
+    return ~(pivots.min(axis=0) > NEAR_SINGULAR_RATIO * pivots.max(axis=0))
 
 
 def solve_multi(B, X) -> np.ndarray:

@@ -72,6 +72,13 @@ REPORT_DIGESTS = {
 }
 
 
+# sha256 of the JSON and the CSV of the alpha = 2 girko-stable report, whose
+# quadrature-vs-cauchy-grid residual is beta times the density residual
+ALPHA2_RAW = dict(EVERY_KIND["girko-stable"], alpha=2)
+ALPHA2_DIGESTS = ("10f17742e40922b6b5fa88d3e9870ca8642a6532d8960d2092c32e0250dafbe5",
+                  "7bbe30648b3534cde34e4c119c75e334804d0f3b50935dc0c1b8dcd73d740037")
+
+
 def fresh_python(code: str, *args: str) -> str:
     """stdout of code run with args in a new interpreter that imports rmtlab from src/."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -99,8 +106,7 @@ class TestImportCost:
                 "report = cli.run(cli.parse_config(json.loads(sys.argv[1])))\n"
                 "print(json.dumps([report.passed, [e['name'] for e in report.entries],"
                 " 'scipy.integrate' in sys.modules]))\n")
-        raw = dict(EVERY_KIND["girko-stable"], alpha=2)
-        passed, names, loaded = json.loads(fresh_python(code, json.dumps(raw)))
+        passed, names, loaded = json.loads(fresh_python(code, json.dumps(ALPHA2_RAW)))
         assert passed and "quadrature-vs-cauchy-grid" in names and loaded
 
 
@@ -395,6 +401,26 @@ class TestEmission:
         payload = json.loads((tmp_path / "empty.json").read_text())
         assert payload["entries"] == [] and payload["n_entries"] == 0
 
+    @pytest.mark.parametrize("kind", list(EVERY_KIND))
+    def test_to_json_is_indented_json(self, kind):
+        report = cli.run(cli.parse_config(EVERY_KIND[kind]))
+        assert report.to_json() == json.dumps(report.payload(), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("n_entries", [0, 1, 3])
+    def test_to_json_of_special_values_and_text(self, n_entries):
+        # the text between two encoded entries, inside a string, with a quote,
+        # a backslash, a newline and characters beyond ASCII around it
+        detail = 'a "quote" \\ a backslash\n },\n      {\n    },\n    { \u00e9\u221e\U0001d53c'
+        entries = [
+            {"kind": "residual", "name": "nan", "passed": False, "tolerance": math.inf, "value": math.nan},
+            {"kind": "residual", "name": "inf", "passed": True, "tolerance": 1e-6, "value": -math.inf},
+            {"kind": "error", "name": "suite-error:ValueError", "passed": False, "detail": detail},
+        ][:n_entries]
+        report = cli.RunReport(config={"kind": "girko", "u": [], "radial": ["gaussian"]}, entries=entries)
+        text = report.to_json()
+        assert text == json.dumps(report.payload(), indent=2, sort_keys=True) + "\n"
+        assert [e["name"] for e in json.loads(text)["entries"]] == [e["name"] for e in entries]
+
     def test_rejections_per_arm_on_console_only(self, monkeypatch):
         # at ratio 0.3 every arm rejects draws; the counts reach the console
         # and leave the JSON as it was
@@ -455,6 +481,10 @@ class TestEmission:
     def test_report_bytes_pinned(self, tmp_path, kind):
         paths = cli.emit(cli.run(cli.parse_config(EVERY_KIND[kind])), "both", str(tmp_path / kind))
         assert tuple(hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths) == REPORT_DIGESTS[kind]
+
+    def test_alpha2_report_bytes_pinned(self, tmp_path):
+        paths = cli.emit(cli.run(cli.parse_config(ALPHA2_RAW)), "both", str(tmp_path / "alpha2"))
+        assert tuple(hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths) == ALPHA2_DIGESTS
 
     @pytest.mark.parametrize("suffix", ["", ".json", ".csv"])
     def test_out_suffix_is_dropped(self, tmp_path, suffix):
@@ -556,6 +586,21 @@ class TestCommandLine:
         assert cli.main(["density", "--kind", "matrix-t", "--params", json.dumps(params), "--at", "[[0],[0],[0]]"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert math.isfinite(payload["log_density"]) and payload["density"] == math.inf
+
+    def test_density_matrix_t_past_the_largest_whitened_value(self, capsys):
+        # Y = K / sqrt(Sigma) = 1e350 passes the largest float; at m = n = 1,
+        # q = 1 the law is log p = -log(pi) - log(Sigma)/2 - log(1 + K^2 / Sigma)
+        params = {"Sigma": [[1e-300]]}
+        assert cli.main(["density", "--kind", "matrix-t", "--params", json.dumps(params), "--at", "[[1e200]]"]) == 0
+        got = json.loads(capsys.readouterr().out)["log_density"]
+        log_y2 = 2 * math.log(1e200) - math.log(1e-300)
+        want = -math.log(math.pi) - 0.5 * math.log(1e-300) - (log_y2 + math.log1p(math.exp(-log_y2)))
+        assert math.isfinite(got) and abs(got - want) <= 1e-12 * abs(want)
+
+    def test_density_matrix_t_indefinite_sigma_exit_two(self, capsys):
+        params = {"Sigma": [[1.0, 2.0], [2.0, 1.0]]}
+        assert cli.main(["density", "--kind", "matrix-t", "--params", json.dumps(params), "--at", "[[1e200],[0]]"]) == 2
+        assert capsys.readouterr().err.startswith("error: params: Sigma: ")
 
     def test_density_matrix_t(self, capsys):
         code = cli.main([

@@ -181,6 +181,36 @@ class TestPartition:
             en.ratio_sampler(en.EnsembleSpec(m=2, n=1), en.PartitionSpec([1, 1]))
 
 
+class TestPartitionViews:
+    @staticmethod
+    def gathered(monkeypatch):
+        """Make partition gather every index set into a copy, slices included."""
+        indices = en._partition_indices
+        monkeypatch.setattr(en, "_partition_indices",
+                            lambda cols, m, total: tuple(np.arange(total)[i] for i in indices(cols, m, total)))
+
+    @pytest.mark.parametrize(("m", "n", "b_columns", "views"), [
+        (2, 2, None, (True, True)),  # the leading partition
+        (2, 2, (2, 3), (True, False)),  # contiguous B in the middle: X = columns 1 and 4 is gathered
+        (3, 1, (2, 3, 4), (True, True)),
+        (2, 2, (3, 1), (False, False)),
+    ])
+    def test_views_draw_the_blocks_that_copies_draw(self, monkeypatch, m, n, b_columns, views):
+        # at ratio 0.3 about half the draws are redrawn, through the views
+        monkeypatch.setattr(matcore, "NEAR_SINGULAR_RATIO", 0.3)
+        spec = en.EnsembleSpec(m=m, n=n, radial=en.UniformBall(2.0))
+        p = en.PartitionSpec(b_columns or range(1, m + 1))
+        indices = en._partition_indices(p.b_columns, m, m + n)
+        assert [isinstance(i, slice) for i in indices] == list(views)
+        B, X = en.ratio_sampler(spec, p)(gen(60), 4)
+        assert np.may_share_memory(B, X) == all(views)
+        Z, rejects = en.draw_block(en.ratio_sampler(spec, p), gen(61), en.BLOCK)
+        self.gathered(monkeypatch)
+        assert not np.may_share_memory(*en.ratio_sampler(spec, p)(gen(60), 4))
+        Z_copies, rejects_copies = en.draw_block(en.ratio_sampler(spec, p), gen(61), en.BLOCK)
+        assert rejects > 0 and rejects == rejects_copies and Z.tobytes() == Z_copies.tobytes()
+
+
 class TestSampleZ:
     def test_scalar_ratio_is_cauchy(self):
         spec = en.EnsembleSpec(m=1, n=1)

@@ -223,6 +223,17 @@ def test_suites_pass_at_huge_parameters(raw):
     assert report.passed, report.failing
 
 
+@pytest.mark.parametrize("u", [[0.75], [1e160]])
+def test_alpha2_quadrature_check_fails_a_density_one_percent_off(monkeypatch, u):
+    # the densities on the grid are of order 1/beta; the residual is taken
+    # relative to that scale, so it still sees a 1% error at beta = 1e160
+    exact = girko.girko_stable_density
+    monkeypatch.setattr(girko, "girko_stable_density", lambda *args: 1.01 * exact(*args))
+    raw = {"kind": "girko-stable", "m": 1, "n": 1, "u": u, "alpha": 2, "samples": 200, "seed": 5}
+    entry = next(e for e in cli.run(cli.parse_config(raw)).entries if e["name"] == "quadrature-vs-cauchy-grid")
+    assert not entry["passed"] and entry["value"] > 1e-3
+
+
 class TestStableDensityQuadrature:
     def test_alpha2_at_zero(self):
         law = girko.StableLaw(alpha=2, c=0.5)

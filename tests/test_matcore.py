@@ -1,9 +1,12 @@
 """Tests for the small dense linear algebra kernels."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmtlab import matcore as mc
 
@@ -185,6 +188,39 @@ class TestNearSingularStack:
             assert mc.near_singular(B).tolist() == want
             assert mc.near_singular(B * (1 - 1j)).tolist() == want
             assert [reference_flag(x) for x in B] == want
+
+
+def make_special(kind: str, b: np.ndarray, rng: np.random.Generator) -> None:
+    """Turn the square matrix b, in place, into a matrix of the given kind."""
+    i, j = rng.integers(len(b), size=2)
+    if kind == "zero":
+        b[...] = 0.0
+    elif kind == "tiny":
+        b *= 1e-300
+    elif kind == "repeated-row":
+        b[(i + 1) % len(b)] = b[i]
+    elif kind != "normal":  # a non-finite entry
+        b[i, j] = float(kind)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    m=st.integers(1, 8),
+    is_complex=st.booleans(),
+    kinds=st.lists(st.sampled_from(["normal", "zero", "tiny", "repeated-row", "nan", "inf", "-inf"]),
+                   min_size=1, max_size=64),
+    ratio=st.sampled_from([1e-12, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_near_singular_is_the_single_matrix_rule(m, is_complex, kinds, ratio, seed):
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((len(kinds), m, m))
+    if is_complex:
+        B = B + 1j * rng.standard_normal(B.shape)
+    for b, kind in zip(B, kinds):
+        make_special(kind, b, rng)
+    with mock.patch.object(mc, "NEAR_SINGULAR_RATIO", ratio):
+        assert mc.near_singular(B).tolist() == [reference_flag(b) for b in B]
 
 
 class TestGramLogdet:
