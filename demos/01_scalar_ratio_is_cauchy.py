@@ -10,14 +10,11 @@ import numpy as np
 import rmtlab
 
 N = 5000
-BLOCK = rmtlab.ensembles.BLOCK  # systems drawn and solved per draw_block call
 
 
-def first_entries(spec, gen):
-    """z11 of N block ratios Z = B^-1 X, drawn BLOCK at a time."""
-    sampler = rmtlab.ratio_sampler(spec)
-    Z = np.concatenate([rmtlab.draw_block(sampler, gen, min(BLOCK, N - i))[0] for i in range(0, N, BLOCK)])
-    return Z[:, 0, 0]
+def first_entries(spec, seed):
+    """z11 of N block ratios Z = B^-1 X, pooled by draw_rows on stream 0 of seed."""
+    return rmtlab.draw_rows(rmtlab.ratio_sampler(spec), seed, 0, N, lambda Z: Z[:, 0, 0])[0]
 
 
 # ## Three very different radial profiles
@@ -30,15 +27,13 @@ laws = {
 print(f"{N} draws of z = x/y per radial law, KS against the arctan CDF:\n")
 for name, law in laws.items():
     spec = rmtlab.EnsembleSpec(m=1, n=1, radial=law)
-    gen = rmtlab.RngStream(seed=1, stream_id=0).generator()
-    draws = first_entries(spec, gen)
+    draws = first_entries(spec, 1)
     report = rmtlab.ks_one_sample(draws, rmtlab.cauchy_cdf)
     print(f"  {name:18s} D = {report.statistic:.4f}  p = {report.p_value:.3f}")
 
 # ## The histogram against the exact density
-gen = rmtlab.RngStream(seed=2, stream_id=0).generator()
 spec = rmtlab.EnsembleSpec(m=1, n=1, radial=rmtlab.TwoShellMixture(1.0, 4.0, 0.5))
-draws = first_entries(spec, gen)
+draws = first_entries(spec, 2)
 hist = rmtlab.histogram(draws, bins=9, value_range=(-3.0, 3.0))
 centers = 0.5 * (hist.edges[:-1] + hist.edges[1:])
 

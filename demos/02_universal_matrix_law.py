@@ -10,14 +10,11 @@ import numpy as np
 import rmtlab
 
 m, n, N = 2, 2, 4000
-BLOCK = rmtlab.ensembles.BLOCK  # systems drawn and solved per draw_block call
 
 
-def log_dets(spec, part, gen):
-    """log det(1 + Z Z^T) of N block ratios, drawn BLOCK at a time."""
-    sampler = rmtlab.ratio_sampler(spec, part)
-    Z = np.concatenate([rmtlab.draw_block(sampler, gen, min(BLOCK, N - i))[0] for i in range(0, N, BLOCK)])
-    return rmtlab.matcore.gram_logdet(Z)
+def log_dets(spec, part, seed, stream):
+    """log det(1 + Z Z^T) of N block ratios, pooled by draw_rows on (seed, stream)."""
+    return rmtlab.draw_rows(rmtlab.ratio_sampler(spec, part), seed, stream, N, rmtlab.matcore.gram_logdet)[0]
 
 
 # ## Sample the log det statistic under four dissimilar radial laws
@@ -31,8 +28,7 @@ laws = {
 statistics = {}
 for stream, (name, law) in enumerate(laws.items()):
     spec = rmtlab.EnsembleSpec(m=m, n=n, radial=law)
-    gen = rmtlab.RngStream(seed=3, stream_id=stream).generator()
-    statistics[name] = log_dets(spec, None, gen)
+    statistics[name] = log_dets(spec, None, 3, stream)
 
 print("pairwise two-sample KS on log det(1 + Z Z^T):\n")
 names = list(statistics)
@@ -51,7 +47,6 @@ print(f"matrix-t at (0,I,I,1) = {rmtlab.log_matrix_t(Z, params):.10f}")
 # ## Partition independence: any m columns can play the role of B
 spec = rmtlab.EnsembleSpec(m=m, n=n)
 for cols in ([1, 2], [4, 2]):
-    gen = rmtlab.RngStream(seed=4, stream_id=cols[0]).generator()
-    statistics[str(cols)] = log_dets(spec, rmtlab.PartitionSpec(cols), gen)
+    statistics[str(cols)] = log_dets(spec, rmtlab.PartitionSpec(cols), 4, cols[0])
 rep = rmtlab.ks_two_sample(statistics["[1, 2]"], statistics["[4, 2]"])
 print(f"\npartition [1,2] vs [4,2]: D = {rep.statistic:.4f}  p = {rep.p_value:.3f}")

@@ -10,15 +10,11 @@ import numpy as np
 import rmtlab
 
 N = 5000
-BLOCK = rmtlab.ensembles.BLOCK  # systems drawn and solved per draw_block call
 
 # ## Scalar complex ratio under two radial laws
 for stream, law in enumerate([rmtlab.GaussianEntries(), rmtlab.FixedShell(1.5)]):
     spec = rmtlab.EnsembleSpec(m=1, n=1, field="complex", radial=law)
-    gen = rmtlab.RngStream(seed=5, stream_id=stream).generator()
-    sampler = rmtlab.ratio_sampler(spec)
-    z = np.concatenate([rmtlab.draw_block(sampler, gen, min(BLOCK, N - i))[0] for i in range(0, N, BLOCK)])
-    s = np.abs(z[:, 0, 0]) ** 2
+    s, _ = rmtlab.draw_rows(rmtlab.ratio_sampler(spec), 5, stream, N, lambda Z: np.abs(Z[:, 0, 0]) ** 2)
     rep = rmtlab.ks_one_sample(s, lambda t: t / (1.0 + t))
     print(f"{type(law).__name__:15s} |z|^2 vs s/(1+s):  D = {rep.statistic:.4f}  p = {rep.p_value:.3f}")
 

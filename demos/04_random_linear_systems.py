@@ -13,13 +13,11 @@ import numpy as np
 import rmtlab
 
 N = 5000
-BLOCK = rmtlab.ensembles.BLOCK  # systems drawn and solved per draw_block call
 
 
-def solutions(sampler, gen):
-    """N solution vectors (N, m), drawn and solved BLOCK at a time."""
-    z = np.concatenate([rmtlab.draw_block(sampler, gen, min(BLOCK, N - i))[0] for i in range(0, N, BLOCK)])
-    return z[:, :, 0]
+def solutions(sampler, seed, stream):
+    """N solution vectors (N, m), pooled by draw_rows on (seed, stream)."""
+    return rmtlab.draw_rows(sampler, seed, stream, N, lambda z: z[:, :, 0])[0]
 
 u = (0.75,)
 beta = rmtlab.beta_euclidean(u)
@@ -28,8 +26,7 @@ print(f"parameters u = {u}, width beta = {beta}\n")
 # ## Component and ratio laws under two radial profiles
 for stream, law in enumerate([rmtlab.GaussianEntries(), rmtlab.FixedShell(2.0)]):
     spec = rmtlab.LinearSystemSpec(m=2, n=1, u=u, radial=law)
-    gen = rmtlab.RngStream(seed=6, stream_id=stream).generator()
-    z = solutions(rmtlab.solution_sampler(spec), gen)
+    z = solutions(rmtlab.solution_sampler(spec), 6, stream)
     z1, ratio = z[:, 0], z[:, 0] / z[:, 1]
     width = rmtlab.CauchyParams(0.0, beta)
     rep1 = rmtlab.ks_one_sample(z1, lambda x: rmtlab.cauchy_cdf(x, width))
@@ -48,7 +45,6 @@ for zeta in (0.0, 1.0, 2.5):
     print(f"  zeta = {zeta:4.1f}: quadrature {got:.8f}  exact {want:.8f}")
 
 law1 = rmtlab.StableLaw(alpha=1)
-gen = rmtlab.RngStream(seed=7, stream_id=0).generator()
-draws = solutions(rmtlab.stable_sampler(1, 0, (), law1), gen)[:, 0]
+draws = solutions(rmtlab.stable_sampler(1, 0, (), law1), 7, 0)[:, 0]
 rep = rmtlab.ks_one_sample(draws, lambda x: rmtlab.girko_stable_cdf(x, law1, 1.0))
 print(f"\nalpha = 1, m = 1: z = b/B against the exact CDF: p = {rep.p_value:.3f}")

@@ -33,6 +33,7 @@ from .ensembles import (
     TwoShellMixture,
     UniformBall,
     draw_block,
+    draw_rows,
     partition,
     ratio_sampler,
     sample_matrix,
@@ -47,7 +48,6 @@ from .girko import (
     girko_logdensity,
     girko_stable_cdf,
     girko_stable_density,
-    ratio_logdensity,
     sample_stable_system,
     solution_sampler,
     stable_sampler,
@@ -77,6 +77,7 @@ __all__ = [
     "cauchy_cdf",
     "cauchy_logpdf",
     "draw_block",
+    "draw_rows",
     "gamma_identity_residual",
     "gaussian_detn_integral",
     "girko_logdensity",
@@ -92,7 +93,6 @@ __all__ = [
     "mc_mean",
     "ortho_volume",
     "partition",
-    "ratio_logdensity",
     "ratio_sampler",
     "sample_matrix",
     "sample_radius",

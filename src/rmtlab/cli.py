@@ -1,21 +1,23 @@
 """Reproducible experiment runner.
 
 Experiments are described by a flat JSON config (kind, dimensions, radial
-laws, sample count, seed, ...).  Sampling is split into blocks of BLOCK
-draws; block b of arm a always consumes the substream keyed by (seed, a, b),
-so the pooled sample is bit-identical for a given seed whatever the shard
-count in the config.  Each block is drawn, flagged, solved and reduced to
-report rows in one draw_block call, from a new generator on its substream.
-Suites that compare radial laws (universality and complex, one suite for
-both fields, and girko) pool one arm per law through _arms; every sampled
-suite passes each of its KS tests at significance over their count through
-_check.  A report keeps its rows as one 2-D array, one row per draw, with
-one (law label, row count) run per arm beside it for suites that pool
-arms.  Reports are emitted as schema-stable JSON (byte-identical across
-reruns of the same config+seed), whose entries RunReport.to_json writes
-with json's C encoder, and as CSV holding the raw per-draw statistics.
-floatfmt formats the CSV's float rows, at most EMIT_VALUES values of one
-label at a time, into the bytes str(float) would give.
+laws, sample count, seed, ...).  Every sampled suite pools its draws
+through _arms, one arm per sampler in order: arm a is ensembles.draw_rows on
+stream a, which draws block b of BLOCK systems from the substream keyed by
+(seed, a << 32 | b) in one draw_block call and reduces it to report rows, so
+the pooled sample is bit-identical for a given seed whatever the shard
+count in the config.  exactness and girko-stable pool one arm; the suites
+that compare radial laws (universality and complex, one suite for both
+fields, and girko) pool one arm per law and compare every pair of arms
+through _pairs.  Every sampled suite passes each of its KS tests at
+significance over their count through _check.  A report keeps its rows as
+one 2-D array, one row per draw, with one (law label, row count) run per arm
+beside it for suites that compare laws.  Reports are emitted as
+schema-stable JSON (byte-identical across reruns of the same config+seed),
+whose entries RunReport.to_json writes with json's C encoder, and as CSV
+holding the raw per-draw statistics.  floatfmt formats the CSV's float rows,
+at most EMIT_VALUES values of one label at a time, into the bytes
+str(float) would give.
 """
 
 from __future__ import annotations
@@ -32,13 +34,11 @@ import numpy as np
 from . import densities, ensembles, girko, matcore, stats
 from .densities import CauchyParams, TDistParams
 from .ensembles import (
-    BLOCK,
     EnsembleSpec,
     FixedShell,
     GaussianEntries,
     PartitionSpec,
     RadialLaw,
-    RngStream,
     TwoShellMixture,
     UniformBall,
     as_integer,
@@ -334,29 +334,7 @@ def _residual_entry(name: str, value: float, tolerance: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# block sampling
-
-
-def _pooled_rows(cfg: ExperimentConfig, report: RunReport, arm: int, sampler, row_of) -> np.ndarray:
-    """Stack row_of(Z) over cfg.samples solved systems of one arm.
-
-    Block b of this arm draws its BLOCK systems with sampler, a function
-    (rng, k) -> (B, R), in one draw_block call, from
-    a new generator on the substream (seed, arm << 32 | b), so the pooled
-    rows depend on the seed alone.  row_of maps the block's (k, m, c)
-    solution stack to its k report rows, so only the rows, never all
-    solutions, are pooled.  The arm's rejections are added to the report.
-    """
-    rows = []
-    rejected = 0
-    for b, first in enumerate(range(0, cfg.samples, BLOCK)):
-        rng = RngStream(cfg.seed, (arm << 32) | b).generator()
-        Z, rej = ensembles.draw_block(sampler, rng, min(BLOCK, cfg.samples - first))
-        rows.append(row_of(Z))
-        rejected += rej
-    report.resamples += rejected
-    report.arm_resamples.append(rejected)
-    return np.concatenate(rows)
+# pooled arms
 
 
 def _first_column(Z: np.ndarray) -> np.ndarray:
@@ -367,19 +345,27 @@ def _partition(cfg: ExperimentConfig) -> PartitionSpec:
     return PartitionSpec(cfg.b_columns) if cfg.b_columns else PartitionSpec.leading(cfg.m)
 
 
-def _arms(cfg: ExperimentConfig, report: RunReport, sampler_of, row_of) -> tuple[list[str], list[np.ndarray]]:
-    """Pool one arm per radial law, in law order, and return (labels, arms).
+def _arms(cfg: ExperimentConfig, report: RunReport, samplers: list, row_of) -> list[np.ndarray]:
+    """Pool cfg.samples rows from each sampler, one arm each, and return the arms.
 
-    Arm a draws its systems from sampler_of(cfg.radial[a]) and reduces them
-    with row_of, as _pooled_rows does.  The report's rows are the arms in
-    order, each run of cfg.samples rows labelled with its arm's law; the arms
-    returned are views of them.
+    Arm a draws its systems through ensembles.draw_rows on stream a and
+    reduces them with row_of; its rejections are added to the report.  The
+    report's rows are the arms in order; the arms returned are views of them.
     """
-    labels = [radial_label(r) for r in cfg.radial]
-    report.rows = np.concatenate([_pooled_rows(cfg, report, a, sampler_of(law), row_of)
-                                  for a, law in enumerate(cfg.radial)])
-    report.label_runs = [(label, cfg.samples) for label in labels]
-    return labels, np.split(report.rows, len(labels))
+    arms = []
+    for a, sampler in enumerate(samplers):
+        rows, rejected = ensembles.draw_rows(sampler, cfg.seed, a, cfg.samples, row_of)
+        arms.append(rows)
+        report.resamples += rejected
+        report.arm_resamples.append(rejected)
+    report.rows = np.concatenate(arms)
+    return np.split(report.rows, len(arms))
+
+
+def _pairs(labels: list[str], arms: list[np.ndarray], tests: list) -> list:
+    """Two-sample tests (name, a, b) of column col of every pair of arms, for each (col, name) in tests."""
+    return [(f"{name}:{labels[i]}-vs-{labels[j]}", arms[i][:, col], arms[j][:, col])
+            for i in range(len(arms)) for j in range(i + 1, len(arms)) for col, name in tests]
 
 
 def _check(cfg: ExperimentConfig, report: RunReport, one: list, two: list) -> None:
@@ -442,9 +428,8 @@ def _run_identities(cfg: ExperimentConfig, report: RunReport) -> None:
 
 def _run_exactness(cfg: ExperimentConfig, report: RunReport) -> None:
     spec = EnsembleSpec(m=cfg.m, n=1, field="real", radial=cfg.radial[0])
-    rows = _pooled_rows(cfg, report, 0, ensembles.ratio_sampler(spec, _partition(cfg)), _first_column)
+    [rows] = _arms(cfg, report, [ensembles.ratio_sampler(spec, _partition(cfg))], _first_column)
     report.columns = [f"z{i + 1}" for i in range(cfg.m)]
-    report.rows = rows
     one = [(f"component-z{i + 1}-vs-cauchy", rows[:, i], densities.cauchy_cdf) for i in range(cfg.m)]
     _check(cfg, report, one, [])
 
@@ -460,23 +445,27 @@ def _run_universality(cfg: ExperimentConfig, report: RunReport) -> None:
         z11 = Z[:, 0, 0]
         return np.column_stack([matcore.gram_logdet(Z), np.abs(z11) ** 2 if is_complex else z11])
 
-    labels, arms = _arms(cfg, report, lambda law: ensembles.ratio_sampler(EnsembleSpec(
-        m=cfg.m, n=cfg.n, field="complex" if is_complex else "real", radial=law), _partition(cfg)), statistics)
+    field = "complex" if is_complex else "real"
+    samplers = [ensembles.ratio_sampler(EnsembleSpec(m=cfg.m, n=cfg.n, field=field, radial=law), _partition(cfg))
+                for law in cfg.radial]
+    arms = _arms(cfg, report, samplers, statistics)
+    labels = [radial_label(law) for law in cfg.radial]
+    report.label_runs = [(label, cfg.samples) for label in labels]
     report.columns = ["radial", "logdet_gram", "abs_z11_sq" if is_complex else "z11"]
     one = []
     if is_complex and cfg.m == cfg.n == 1:
         one = [(f"modulus-sq-cdf:{label}", rows[:, 1], lambda s: s / (1.0 + s)) for label, rows in zip(labels, arms)]
-    pairs = [(i, j) for i in range(len(arms)) for j in range(i + 1, len(arms))]
-    tests = ((0, "logdet-gram"), (1, "modulus-sq" if is_complex else "entry-z11"))
-    two = [(f"{statname}:{labels[i]}-vs-{labels[j]}", arms[i][:, col], arms[j][:, col])
-           for i, j in pairs for col, statname in tests]
+    two = _pairs(labels, arms, [(0, "logdet-gram"), (1, "modulus-sq" if is_complex else "entry-z11")])
     _check(cfg, report, one, two)
 
 
 def _run_girko(cfg: ExperimentConfig, report: RunReport) -> None:
     beta = girko.beta_euclidean(cfg.u)
-    labels, arms = _arms(cfg, report, lambda law: girko.solution_sampler(
-        girko.LinearSystemSpec(m=cfg.m, n=cfg.n, u=cfg.u, radial=law)), _first_column)
+    samplers = [girko.solution_sampler(girko.LinearSystemSpec(m=cfg.m, n=cfg.n, u=cfg.u, radial=law))
+                for law in cfg.radial]
+    arms = _arms(cfg, report, samplers, _first_column)
+    labels = [radial_label(law) for law in cfg.radial]
+    report.label_runs = [(label, cfg.samples) for label in labels]
     report.columns = ["radial"] + [f"z{i + 1}" for i in range(cfg.m)]
     cauchy_beta = CauchyParams(0.0, beta)
     one = []
@@ -485,17 +474,15 @@ def _run_girko(cfg: ExperimentConfig, report: RunReport) -> None:
                     lambda x: densities.cauchy_cdf(x, cauchy_beta)))
         if cfg.m >= 2:
             one.append((f"ratio-z1-z2-vs-cauchy:{label}", rows[:, 0] / rows[:, 1], densities.cauchy_cdf))
-    pairs = [(i, j) for i in range(len(arms)) for j in range(i + 1, len(arms))]
-    _check(cfg, report, one, [(f"z1:{labels[i]}-vs-{labels[j]}", arms[i][:, 0], arms[j][:, 0]) for i, j in pairs])
+    _check(cfg, report, one, _pairs(labels, arms, [(0, "z1")]))
 
 
 def _run_girko_stable(cfg: ExperimentConfig, report: RunReport) -> None:
     law = girko.StableLaw(alpha=cfg.alpha, c=cfg.scale)
     beta = girko.beta_alpha(cfg.u, cfg.alpha)
 
-    rows = _pooled_rows(cfg, report, 0, girko.stable_sampler(cfg.m, cfg.n, cfg.u, law), _first_column)
+    [rows] = _arms(cfg, report, [girko.stable_sampler(cfg.m, cfg.n, cfg.u, law)], _first_column)
     report.columns = [f"z{i + 1}" for i in range(cfg.m)]
-    report.rows = rows
     if cfg.alpha == 2:
         # quadrature must agree with the Cauchy law; both are f(x / beta) / beta, so compare f
         grid = np.linspace(-3.0 * beta, 3.0 * beta, 10)
@@ -678,7 +665,7 @@ def _execute(raw: dict, args) -> int:
     returns the exit code: 0 if every check passed, 1 if one failed, 2 for a
     bad config or a report that cannot be written.
     """
-    for key in ("seed", "shards", "out", "format"):
+    for key in ("seed", "out", "format"):
         value = getattr(args, key, None)
         if value is not None and isinstance(raw, dict):
             raw[key] = value
@@ -747,7 +734,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run an experiment described by a JSON config")
     p_run.add_argument("config", help="path to the flat JSON experiment config")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--shards", type=int, default=None, help="override the echoed shard count")
     p_run.add_argument("--out", default=None, help="report path stem")
     p_run.add_argument("--format", choices=["json", "csv", "both"], default=None)
     p_run.set_defaults(fn=_cmd_run)

@@ -14,7 +14,10 @@ entries, and a bimodal two-shell mixture.
 
 A sampler is a function (rng, k) -> (B, R) that draws k linear systems
 B Z = R as stacks; draw_block draws, rejects, redraws and solves one block
-of them.  ratio_sampler splits ensemble draws A into (B, X).
+of them.  draw_rows pools any number of draws as blocks of BLOCK, block b of
+stream s from the Philox substream (seed, s << 32 | b): it is the one place
+that keys blocks to substreams.  ratio_sampler splits ensemble draws A into
+(B, X).
 """
 
 from __future__ import annotations
@@ -29,10 +32,12 @@ import numpy as np
 from . import matcore
 
 _MASK64 = (1 << 64) - 1
-# Draws per substream block and per draw_block call in the runner: long enough
+# Draws per substream block and per draw_block call in draw_rows: long enough
 # to amortise numpy's per-call overhead and a new Philox, fixed so that pooled
 # draws never depend on sharding and a call's memory does not grow with samples.
 BLOCK = 512
+# Times in a row one draw may be flagged near-singular before draw_block gives up
+MAX_REJECTS = 100
 
 
 class InvalidLaw(ValueError):
@@ -237,12 +242,7 @@ def partition(A, p: PartitionSpec) -> tuple[np.ndarray, np.ndarray]:
     return A[..., b_idx], A[..., x_idx]
 
 
-def draw_block(
-    sampler: Callable,
-    rng: np.random.Generator,
-    k: int,
-    max_rejects: int = 100,
-) -> tuple[np.ndarray, int]:
+def draw_block(sampler: Callable, rng: np.random.Generator, k: int) -> tuple[np.ndarray, int]:
     """Draw k systems B Z = R from rng and solve them all: (Z stack, rejections).
 
     sampler(rng, k) draws the k systems in one call as the stacks B (k, m, m)
@@ -250,7 +250,7 @@ def draw_block(
     matcore.near_singular call.  The numerically singular ones are redrawn
     from rng, all flagged rows in one call, until none is flagged; the
     rejections are counted.  Raises ResampleLimit once a row is flagged
-    max_rejects times in a row.  Z = B^-1 R comes from one stacked LAPACK
+    MAX_REJECTS times in a row.  Z = B^-1 R comes from one stacked LAPACK
     solve and has shape (k, m, c).
     """
     B, R = sampler(rng, k)
@@ -259,11 +259,31 @@ def draw_block(
     while rows.size:
         streak += 1
         rejects += rows.size
-        if streak >= max_rejects:
+        if streak >= MAX_REJECTS:
             raise ResampleLimit(f"{streak} consecutive near-singular draws")
         B[rows], R[rows] = sampler(rng, rows.size)
         rows = rows[matcore.near_singular(B[rows])]
     return np.linalg.solve(B, R), rejects
+
+
+def draw_rows(sampler: Callable, seed: int, stream: int, n: int, row_of: Callable) -> tuple[np.ndarray, int]:
+    """Stack row_of(Z) over n systems drawn by sampler and solved: (rows, rejections).
+
+    Block b holds draws b * BLOCK onwards, at most BLOCK of them, and draws
+    them in one draw_block call from a new generator on the substream
+    (seed, stream << 32 | b), so the rows depend on (seed, stream) alone.
+    row_of maps a block's (k, m, c) solution stack to its k rows, so only
+    the rows, never all solutions, are pooled.  The rejections of all blocks
+    are summed.
+    """
+    rows = []
+    rejected = 0
+    for b, first in enumerate(range(0, n, BLOCK)):
+        rng = RngStream(seed, (stream << 32) | b).generator()
+        Z, rej = draw_block(sampler, rng, min(BLOCK, n - first))
+        rows.append(row_of(Z))
+        rejected += rej
+    return np.concatenate(rows), rejected
 
 
 def ratio_sampler(spec: EnsembleSpec, p: PartitionSpec | None = None) -> Callable:
@@ -277,20 +297,15 @@ def ratio_sampler(spec: EnsembleSpec, p: PartitionSpec | None = None) -> Callabl
     return lambda rng, k: partition(_matrices(spec, rng, k), p)
 
 
-def sample_z(
-    spec: EnsembleSpec,
-    p: PartitionSpec | None,
-    rng: np.random.Generator,
-    max_rejects: int = 100,
-) -> tuple[np.ndarray, int]:
+def sample_z(spec: EnsembleSpec, p: PartitionSpec | None, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Draw Z solving B @ Z = X for one ensemble draw A -> (B, X).
 
     A one-draw block of ratio_sampler(spec, p): near-singular B draws are
     rejected and redrawn, and the number of rejections is returned
-    alongside Z.  Raises ResampleLimit after max_rejects consecutive
+    alongside Z.  Raises ResampleLimit after MAX_REJECTS consecutive
     rejections.
     """
     if spec.n < 1:
         raise ValueError("sample_z needs n >= 1")
-    Z, rejects = draw_block(ratio_sampler(spec, p), rng, 1, max_rejects)
+    Z, rejects = draw_block(ratio_sampler(spec, p), rng, 1)
     return Z[0], rejects

@@ -141,11 +141,6 @@ def girko_logdensity(z, u) -> float:
     return densities.log_mdim_cauchy(z, beta_euclidean(u))
 
 
-def ratio_logdensity(r: float) -> float:
-    """Log density of a ratio z_i / z_j of two solution components."""
-    return -math.log(math.pi) - math.log1p(r * r)
-
-
 def _system_split(m: int, n: int, u) -> Callable:
     """Split flat (A, b) rows, A's m(m+n) entries row by row and then b, into B and b - X u."""
     u = np.asarray(u, dtype=float)
@@ -178,16 +173,9 @@ def stable_sampler(m: int, n: int, u, law: StableLaw) -> Callable:
     return lambda rng, k: split(law.sample((k, m * (m + n + 1)), rng))
 
 
-def sample_stable_system(
-    m: int,
-    n: int,
-    u,
-    law: StableLaw,
-    rng: np.random.Generator,
-    max_rejects: int = 100,
-) -> tuple[np.ndarray, int]:
+def sample_stable_system(m: int, n: int, u, law: StableLaw, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Draw one solution z of B z = b - X u with i.i.d. stable entries."""
-    z, rejects = ensembles.draw_block(stable_sampler(m, n, u, law), rng, 1, max_rejects)
+    z, rejects = ensembles.draw_block(stable_sampler(m, n, u, law), rng, 1)
     return z[0, :, 0], rejects
 
 

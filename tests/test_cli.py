@@ -79,6 +79,12 @@ ALPHA2_DIGESTS = ("10f17742e40922b6b5fa88d3e9870ca8642a6532d8960d2092c32e0250daf
                   "7bbe30648b3534cde34e4c119c75e334804d0f3b50935dc0c1b8dcd73d740037")
 
 
+# sha256 of the JSON and the CSV of the identities report on the largest grid,
+# which holds every gamma-product constant the runner checks
+IDENTITIES_20_DIGESTS = ("13cfceaf0dd9980343366b1cbc6baf571daa62a9d8ac569b36eddd7346480839",
+                         "44bf85041f777e5ae337f5429b03f7ac6017eb31f7386aa0b2ef409beda90d93")
+
+
 def fresh_python(code: str, *args: str) -> str:
     """stdout of code run with args in a new interpreter that imports rmtlab from src/."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -440,6 +446,16 @@ class TestEmission:
         per_arm = ", ".join(map(str, report.arm_resamples))
         assert f"{report.resamples} resamples (per arm: {per_arm})" in out.getvalue()
 
+    @pytest.mark.parametrize("kind", [k for k in EVERY_KIND if k != "identities"])
+    def test_every_sampled_kind_counts_rejections_per_arm(self, monkeypatch, kind):
+        # the single-arm suites pool through the same path as the labelled
+        # ones; a 1 x 1 B is never flagged, so m is at least 2
+        monkeypatch.setattr(cli.matcore, "NEAR_SINGULAR_RATIO", 0.3)
+        raw = dict(EVERY_KIND[kind], samples=300, m=max(2, EVERY_KIND[kind]["m"]))
+        report = cli.run(cli.parse_config(raw))
+        assert len(report.arm_resamples) == len(raw.get("radial", ["gaussian"]))
+        assert report.resamples == sum(report.arm_resamples) > 0 and report.passed
+
     @pytest.mark.parametrize("kind", list(EVERY_KIND))
     def test_csv_matches_per_row_writer(self, tmp_path, kind):
         report = cli.run(cli.parse_config(EVERY_KIND[kind]))
@@ -485,6 +501,11 @@ class TestEmission:
     def test_alpha2_report_bytes_pinned(self, tmp_path):
         paths = cli.emit(cli.run(cli.parse_config(ALPHA2_RAW)), "both", str(tmp_path / "alpha2"))
         assert tuple(hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths) == ALPHA2_DIGESTS
+
+    def test_identities_largest_grid_bytes_pinned(self, tmp_path):
+        cfg = cli.parse_config({"kind": "identities", "max_mn": 20})
+        paths = cli.emit(cli.run(cfg), "both", str(tmp_path / "identities20"))
+        assert tuple(hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths) == IDENTITIES_20_DIGESTS
 
     @pytest.mark.parametrize("suffix", ["", ".json", ".csv"])
     def test_out_suffix_is_dropped(self, tmp_path, suffix):

@@ -65,10 +65,7 @@ class TestUniversalReal:
     def test_exactness_gaussian_ensemble(self):
         # scalar case: 2e4 ensemble draws against the arctan CDF
         spec = en.EnsembleSpec(m=1, n=1)
-        gen = en.RngStream(20260808, 0).generator()
-        sampler = en.ratio_sampler(spec)
-        draws = np.concatenate([en.draw_block(sampler, gen, min(en.BLOCK, 20_000 - i))[0][:, 0, 0]
-                                for i in range(0, 20_000, en.BLOCK)])
+        draws, _ = en.draw_rows(en.ratio_sampler(spec), 20260808, 0, 20_000, lambda Z: Z[:, 0, 0])
         rep = stats.ks_one_sample(draws, de.cauchy_cdf)
         assert rep.p_value > 1e-3
 

@@ -15,10 +15,9 @@ def gen(stream=0, seed=20260808):
     return en.RngStream(seed, stream).generator()
 
 
-def block_draws(sampler, g, count):
-    """count solved systems drawn from g with draw_block, BLOCK at a time: (Z, rejections)."""
-    blocks = [en.draw_block(sampler, g, min(en.BLOCK, count - i)) for i in range(0, count, en.BLOCK)]
-    return np.concatenate([Z for Z, _ in blocks]), sum(rej for _, rej in blocks)
+def block_draws(sampler, stream, count, seed=20260808):
+    """count solved systems pooled by draw_rows on (seed, stream): (Z, rejections)."""
+    return en.draw_rows(sampler, seed, stream, count, lambda Z: Z)
 
 
 def parent_draws(spec, g, count):
@@ -214,8 +213,7 @@ class TestPartitionViews:
 class TestSampleZ:
     def test_scalar_ratio_is_cauchy(self):
         spec = en.EnsembleSpec(m=1, n=1)
-        g = gen(12)
-        draws = block_draws(en.ratio_sampler(spec), g, 20_000)[0][:, 0, 0]
+        draws = block_draws(en.ratio_sampler(spec), 12, 20_000)[0][:, 0, 0]
         rep = stats.ks_one_sample(draws, de.cauchy_cdf)
         assert rep.statistic < 0.015
         assert rep.p_value > 1e-3
@@ -223,8 +221,7 @@ class TestSampleZ:
     def test_vector_component_is_cauchy(self):
         # m=2, n=1: each component of the 2-dim Cauchy vector is standard Cauchy
         spec = en.EnsembleSpec(m=2, n=1)
-        g = gen(13)
-        draws = block_draws(en.ratio_sampler(spec), g, 20_000)[0][:, 0, 0]
+        draws = block_draws(en.ratio_sampler(spec), 13, 20_000)[0][:, 0, 0]
         rep = stats.ks_one_sample(draws, de.cauchy_cdf)
         assert rep.p_value > 1e-3
 
@@ -240,7 +237,7 @@ class TestSampleZ:
 
     def test_resample_rate_tiny(self):
         spec = en.EnsembleSpec(m=5, n=1)
-        _, total = block_draws(en.ratio_sampler(spec), gen(15), 10_000)
+        _, total = block_draws(en.ratio_sampler(spec), 15, 10_000)
         assert total / 10_000 < 1e-3
 
     def test_needs_n_at_least_one(self):
@@ -297,14 +294,15 @@ class TestDrawBlock:
 
     def test_resample_limit_in_a_block(self, monkeypatch):
         monkeypatch.setattr(matcore, "NEAR_SINGULAR_RATIO", 1e12)
-        with pytest.raises(en.ResampleLimit):
-            en.draw_block(en.ratio_sampler(en.EnsembleSpec(m=2, n=1)), gen(46), en.BLOCK, max_rejects=5)
+        monkeypatch.setattr(en, "MAX_REJECTS", 5)
+        with pytest.raises(en.ResampleLimit, match="^5 consecutive"):
+            en.draw_block(en.ratio_sampler(en.EnsembleSpec(m=2, n=1)), gen(46), en.BLOCK)
 
 
 class TestScaleAndPartitionInvariance:
     def statistic(self, spec, part, stream, count=20_000):
-        """log det(I + Z Z^T) of count draws from gen(stream), BLOCK at a time."""
-        return matcore.gram_logdet(block_draws(en.ratio_sampler(spec, part), gen(stream), count)[0])
+        """log det(I + Z Z^T) of count draws pooled on stream."""
+        return matcore.gram_logdet(block_draws(en.ratio_sampler(spec, part), stream, count)[0])
 
     def test_scale_invariance_across_shells(self):
         # FixedShell(r0) and FixedShell(2 r0) give the same law of Z

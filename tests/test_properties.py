@@ -1,7 +1,7 @@
 """Property tests of the paper's symmetries (stable CDF reflection and
 monotonicity, Z -> O Z Q invariance, the (m, n) transpose symmetry) and of
 the reproducibility contract: a block's draws depend on its generator's state
-alone, the runner's pooled rows are one draw_block call per keyed substream,
+alone, draw_rows pools one draw_block call per keyed substream,
 and the shard count changes no draw and no report byte."""
 
 import tempfile
@@ -89,8 +89,8 @@ def test_transpose_swaps_m_and_n(m, n, seed, log_scale, q):
 radial_laws = st.sampled_from(
     [en.GaussianEntries(), en.FixedShell(1.0), en.UniformBall(3.0), en.TwoShellMixture(0.5, 5.0, 0.3)]
 )
-# below, at and around one block (BLOCK = 512), and over two and three blocks
-sample_counts = st.sampled_from([35, 511, 512, 513, 1100, 1537])
+# below, at and just past one, two and three blocks (BLOCK = 512)
+sample_counts = st.sampled_from([35, 511, 512, 513, 1023, 1024, 1025, 1535, 1536, 1537])
 
 
 def make_sampler(kind, m, n, law, alpha):
@@ -170,13 +170,11 @@ def per_block_rows(seed, samples, arm, sampler, row_of):
 )
 def test_pooled_rows_are_one_draw_block_per_substream(kind, m, n, law, alpha, samples, ratio, seed, arm):
     sampler = make_sampler(kind, m, n, law, alpha)
-    cfg = cli.ExperimentConfig(kind="exactness", seed=seed, samples=samples)
-    report = cli.RunReport(config={})
     with mock.patch.object(matcore, "NEAR_SINGULAR_RATIO", ratio):
-        rows = cli._pooled_rows(cfg, report, arm, sampler, statistic_rows)
-        want, rejected = per_block_rows(seed, samples, arm, sampler, statistic_rows)
+        rows, rejected = en.draw_rows(sampler, seed, arm, samples, statistic_rows)
+        want, want_rejected = per_block_rows(seed, samples, arm, sampler, statistic_rows)
     assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
-    assert report.resamples == rejected and report.arm_resamples == [rejected]
+    assert rejected == want_rejected
 
 
 @settings(PROPERTY, max_examples=10)
@@ -192,9 +190,8 @@ def test_resample_limit_in_a_later_block_raises(bad_block, seed):
         scale = 0.0 if block == bad_block else 1.0
         return B * scale, X * scale
 
-    cfg = cli.ExperimentConfig(kind="exactness", seed=seed, samples=1100)
     with pytest.raises(en.ResampleLimit):
-        cli._pooled_rows(cfg, cli.RunReport(config={}), 0, sampler, cli._first_column)
+        en.draw_rows(sampler, seed, 0, 1100, cli._first_column)
     with pytest.raises(en.ResampleLimit):
         per_block_rows(seed, 1100, 0, sampler, cli._first_column)
 
