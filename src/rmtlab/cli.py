@@ -27,7 +27,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .ensembles import (
     TwoShellMixture,
     UniformBall,
     as_integer,
+    as_reals,
 )
 
 KINDS = ("universality", "exactness", "girko", "girko-stable", "identities", "complex")
@@ -67,45 +68,44 @@ class ConfigError(ValueError):
 # config
 
 
+# Each radial law's descriptor name; a descriptor is the name, then ":" and
+# the law's fields in order, comma-separated
+_LAWS = {"gaussian": GaussianEntries, "shell": FixedShell, "ball": UniformBall, "two-shell": TwoShellMixture}
+
+
 def parse_radial(desc) -> RadialLaw:
     """Parse a radial law descriptor.
 
     Accepted forms: "gaussian", "shell:R", "ball:R", "two-shell:r1,r2,w".
+    A bad descriptor raises ValueError; parse_config prefixes "radial: ".
     """
-    if isinstance(desc, (GaussianEntries, FixedShell, UniformBall, TwoShellMixture)):
+    if type(desc) in _LAWS.values():
         return desc
     if not isinstance(desc, str):
-        raise ConfigError(f"radial: expected a descriptor string, got {desc!r}")
+        raise ValueError(f"expected a descriptor string, got {desc!r}")
     name, _, arg = desc.partition(":")
+    law = _LAWS.get(name)
+    if law is None:
+        raise ValueError(f"unknown law {desc!r}")
     try:
-        if name == "gaussian" and not arg:
-            return GaussianEntries()
-        if name == "shell":
-            return FixedShell(float(arg))
-        if name == "ball":
-            return UniformBall(float(arg))
-        if name == "two-shell":
-            r1, r2, w = (float(x) for x in arg.split(","))
-            return TwoShellMixture(r1, r2, w)
-    except (ValueError, ensembles.InvalidLaw) as exc:
-        raise ConfigError(f"radial: bad descriptor {desc!r} ({exc})") from exc
-    raise ConfigError(f"radial: unknown law {desc!r}")
+        values = [float(x) for x in arg.split(",")] if arg else []
+        if len(values) != len(fields(law)):
+            raise ValueError(f"{name} takes {len(fields(law))} values")
+        return law(*values)
+    except ValueError as exc:  # InvalidLaw is a ValueError
+        raise ValueError(f"bad descriptor {desc!r} ({exc})") from None
 
 
 def radial_label(law: RadialLaw) -> str:
-    if isinstance(law, GaussianEntries):
-        return "gaussian"
-    if isinstance(law, FixedShell):
-        return f"shell:{law.r0:g}"
-    if isinstance(law, UniformBall):
-        return f"ball:{law.R:g}"
-    return f"two-shell:{law.r1:g},{law.r2:g},{law.w:g}"
+    name = next(name for name, cls in _LAWS.items() if type(law) is cls)
+    values = ",".join(f"{getattr(law, f.name):g}" for f in fields(law))
+    return f"{name}:{values}" if values else name
 
 
 @dataclass
 class ExperimentConfig:
     kind: str
-    seed: int
+    seed: int = 0
     m: int = 2
     n: int = 1
     radial: tuple[RadialLaw, ...] = (GaussianEntries(),)
@@ -121,64 +121,98 @@ class ExperimentConfig:
     max_mn: int = 12
 
     def echo(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "m": self.m,
-            "n": self.n,
-            "radial": [radial_label(r) for r in self.radial],
-            "b_columns": list(self.b_columns) if self.b_columns else None,
-            "u": list(self.u),
-            "alpha": self.alpha,
-            "scale": self.scale,
-            "samples": self.samples,
-            "shards": self.shards,
-            "significance": self.significance,
-            "max_mn": self.max_mn,
-        }
+        """The fields that shape the report, radial laws by label; out and format only say where it goes."""
+        echo = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("out", "format")}
+        echo["radial"] = [radial_label(law) for law in self.radial]
+        return echo
+
+
+# ---------------------------------------------------------------------------
+# JSON readers: a table per command gives each key's reader and the kinds that
+# read it.  Readers take JSON numbers only, by the rule of ensembles.as_integer
+# and ensembles.as_reals, and raise ValueError; the command names the key.
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
 
 
 def _real(value) -> float:
-    """A real field's value: bools are refused, not read as 0 or 1."""
-    if isinstance(value, bool):
+    reals = as_reals(value)
+    if reals.ndim:
         raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+    return float(reals)
 
 
-def _take(raw: dict, key: str, kind, default=None, required: bool = False):
-    if key not in raw:
-        if required:
-            raise ConfigError(f"{key}: required field is missing")
-        return default
-    try:
-        return kind(raw[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+def _list(read):
+    """The reader of a list whose items read reads."""
+    def read_list(value) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"expected a list, got {value!r}")
+        return tuple(read(item) for item in value)
+    return read_list
 
 
-def _take_list(raw: dict, key: str, item) -> tuple:
-    value = raw[key]
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key}: expected a list, got {value!r}")
-    try:
-        return tuple(item(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+def _or_null(read):
+    """read, with null read as the key's default, None."""
+    return lambda value: None if value is None else read(value)
 
 
-# The kinds that read each kind-specific field.  Every kind reads kind, seed,
-# significance, shards, out and format.
+def _laws(value) -> tuple[RadialLaw, ...]:
+    if not isinstance(value, (str, list, tuple)):
+        raise ValueError(f"expected a descriptor string or a list of them, got {value!r}")
+    laws = tuple(map(parse_radial, [value] if isinstance(value, str) else value))
+    if not laws:
+        raise ValueError("needs at least one law")
+    return laws
+
+
+def _refuse_unknown(raw: dict, table: dict, prefix: str = "") -> None:
+    """Refuse a key of raw that table does not hold."""
+    unknown = set(raw) - set(table)
+    if unknown:
+        raise ConfigError(f"{prefix}{sorted(unknown)[0]}: unknown field")
+
+
+def _read_keys(raw: dict, table: dict, kind: str, prefix: str = "") -> dict:
+    """The keys of raw that kind reads, each through its reader; errors name the key."""
+    values = {}
+    for key, (read, kinds) in table.items():
+        if key in raw and kind in kinds:
+            try:
+                values[key] = read(raw[key])
+            except ValueError as exc:
+                raise ConfigError(f"{prefix}{key}: {exc}") from None
+    return values
+
+
+def _refuse_unread(raw: dict, table: dict, kind: str, who: str, prefix: str = "") -> None:
+    """Refuse a key of raw that kind does not read, so that no ignored setting passes."""
+    for key in raw:
+        if kind not in table[key][1]:
+            raise ConfigError(f"{prefix}{key}: {who} does not read this field")
+
+
 _SAMPLED = tuple(k for k in KINDS if k != "identities")
-_READ_BY = {
-    "m": _SAMPLED,
-    "n": _SAMPLED,
-    "samples": _SAMPLED,
-    "radial": ("universality", "exactness", "girko", "complex"),  # girko-stable entries are i.i.d. stable
-    "b_columns": ("universality", "exactness", "complex"),
-    "u": ("girko", "girko-stable"),
-    "alpha": ("girko-stable",),
-    "scale": ("girko-stable",),
-    "max_mn": ("identities",),
+# Every ExperimentConfig field: its reader and the kinds that read it
+_FIELDS = {
+    "kind": (_text, KINDS),
+    "seed": (as_integer, KINDS),
+    "m": (as_integer, _SAMPLED),
+    "n": (as_integer, _SAMPLED),
+    "radial": (_laws, ("universality", "exactness", "girko", "complex")),  # girko-stable entries are i.i.d. stable
+    "b_columns": (_or_null(_list(as_integer)), ("universality", "exactness", "complex")),
+    "u": (_list(_real), ("girko", "girko-stable")),
+    "alpha": (as_integer, ("girko-stable",)),
+    "scale": (_real, ("girko-stable",)),
+    "samples": (as_integer, _SAMPLED),
+    "shards": (as_integer, KINDS),
+    "out": (_or_null(_text), KINDS),
+    "format": (_text, KINDS),
+    "significance": (_real, KINDS),
+    "max_mn": (as_integer, ("identities",)),
 }
 
 
@@ -186,49 +220,24 @@ def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a flat config dict; errors name the offending field."""
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object with flat keys")
-    unknown = set(raw) - {"kind", "seed", "shards", "out", "format", "significance", *_READ_BY}
-    if unknown:
-        raise ConfigError(f"{sorted(unknown)[0]}: unknown field")
-    kind = _take(raw, "kind", str, required=True)
+    _refuse_unknown(raw, _FIELDS)
+    kind = raw.get("kind")
     if kind not in KINDS:
         raise ConfigError(f"kind: must be one of {KINDS}, got {kind!r}")
-    seed = _take(raw, "seed", as_integer, required=(kind != "identities"), default=0)
-    if not 0 <= seed <= MAX_SEED:
-        raise ConfigError(f"seed: must lie in 0..2**64 - 1, got {seed}")
-    cfg = ExperimentConfig(kind=kind, seed=seed)
-    cfg.m = _take(raw, "m", as_integer, cfg.m)
-    cfg.n = _take(raw, "n", as_integer, cfg.n)
+    if kind != "identities" and "seed" not in raw:
+        raise ConfigError("seed: required field is missing")
+    cfg = ExperimentConfig(**_read_keys(raw, _FIELDS, kind))
+    if not 0 <= cfg.seed <= MAX_SEED:
+        raise ConfigError(f"seed: must lie in 0..2**64 - 1, got {cfg.seed}")
     if not 1 <= cfg.m <= MAX_DIM:
         raise ConfigError(f"m: must lie in 1..{MAX_DIM}, got {cfg.m}")
     if not 0 <= cfg.n <= MAX_DIM:
         raise ConfigError(f"n: must lie in 0..{MAX_DIM}, got {cfg.n}")
-    laws = raw.get("radial", ["gaussian"])
-    if isinstance(laws, str):
-        laws = [laws]
-    if not isinstance(laws, (list, tuple)):
-        raise ConfigError(f"radial: expected a descriptor string or a list of them, got {laws!r}")
-    if not laws:
-        raise ConfigError("radial: needs at least one law")
-    cfg.radial = tuple(parse_radial(d) for d in laws)
-    if raw.get("b_columns") is not None:
-        cfg.b_columns = _take_list(raw, "b_columns", as_integer)
-    if "u" in raw:
-        cfg.u = _take_list(raw, "u", _real)
-    cfg.alpha = _take(raw, "alpha", as_integer, cfg.alpha)
-    cfg.scale = _take(raw, "scale", _real, cfg.scale)
-    cfg.samples = _take(raw, "samples", as_integer, cfg.samples)
-    cfg.shards = _take(raw, "shards", as_integer, cfg.shards)
-    cfg.out = _take(raw, "out", str, cfg.out)
-    cfg.format = _take(raw, "format", str, cfg.format)
-    cfg.significance = _take(raw, "significance", _real, cfg.significance)
-    cfg.max_mn = _take(raw, "max_mn", as_integer, cfg.max_mn)
     if cfg.shards < 1:
         raise ConfigError(f"shards: must be >= 1, got {cfg.shards}")
-    if kind != "identities" and cfg.samples < stats.MIN_SAMPLES:
-        raise ConfigError(f"samples: must be >= {stats.MIN_SAMPLES}, got {cfg.samples}")
-    if cfg.samples > MAX_SAMPLES:
-        raise ConfigError(f"samples: must be <= {MAX_SAMPLES}, got {cfg.samples}")
-    if kind == "identities" and not 1 <= cfg.max_mn <= MAX_MN:
+    if not stats.MIN_SAMPLES <= cfg.samples <= MAX_SAMPLES:
+        raise ConfigError(f"samples: must lie in {stats.MIN_SAMPLES}..{MAX_SAMPLES}, got {cfg.samples}")
+    if not 1 <= cfg.max_mn <= MAX_MN:
         raise ConfigError(f"max_mn: must lie in 1..{MAX_MN}, got {cfg.max_mn}")
     if cfg.format not in ("json", "csv", "both"):
         raise ConfigError(f"format: must be json, csv or both, got {cfg.format!r}")
@@ -236,10 +245,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"significance: must lie in (0,1), got {cfg.significance}")
     if kind in ("girko", "girko-stable") and len(cfg.u) != cfg.n:
         raise ConfigError(f"u: needs {cfg.n} entries to match n, got {len(cfg.u)}")
-    if kind == "girko-stable" and cfg.alpha not in (1, 2):
+    if cfg.alpha not in (1, 2):
         raise ConfigError(f"alpha: only 1 and 2 are supported, got {cfg.alpha}")
-    if kind == "girko-stable" and not (math.isfinite(cfg.scale) and cfg.scale > 0):
-        raise ConfigError(f"scale: must be finite and positive, got {cfg.scale}")
+    if not cfg.scale > 0:
+        raise ConfigError(f"scale: must be positive, got {cfg.scale}")
     if kind == "exactness" and cfg.n != 1:
         raise ConfigError(f"n: exactness compares components to the Cauchy law and needs n = 1, got {cfg.n}")
     if kind in ("universality", "complex") and len(cfg.radial) < 2 and (kind, cfg.m, cfg.n) != ("complex", 1, 1):
@@ -248,16 +257,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"radial: exactness samples one law, got {len(cfg.radial)}")
     if kind in ("universality", "complex") and cfg.n < 1:
         raise ConfigError(f"n: {kind} draws m x n block ratios and needs n >= 1, got {cfg.n}")
-    if not all(math.isfinite(x) for x in cfg.u):
-        raise ConfigError(f"u: entries must be finite, got {list(cfg.u)}")
     if cfg.b_columns is not None:
         try:
             ensembles._partition_indices(cfg.b_columns, cfg.m, cfg.m + cfg.n)
         except ensembles.BadPartition as exc:
             raise ConfigError(f"b_columns: {exc}") from None
-    for key in raw:
-        if kind not in _READ_BY.get(key, KINDS):
-            raise ConfigError(f"{key}: the {kind} suite does not read this field")
+    _refuse_unread(raw, _FIELDS, kind, f"the {kind} suite")
     return cfg
 
 
@@ -569,67 +574,57 @@ def emit(report: RunReport, fmt: str, out: str) -> list[str]:
 # density evaluation
 
 
-def _parse_point(kind: str, at) -> np.ndarray:
-    """The point at as an array of the shape kind takes; errors name at."""
-    try:
-        arr = np.asarray(at, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"at: expected numbers, got {at!r}") from None
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"at: entries must be finite, got {at!r}")
-    if kind == "universal-complex":
-        if arr.ndim != 3 or arr.shape[2] != 2:
-            raise ConfigError("at: complex points use [re, im] pairs, e.g. [[[0.1, 0.2]]]")
-        return arr[..., 0] + 1j * arr[..., 1]
-    most = 1 if kind == "girko" else 2  # a solution vector, else a matrix
-    if arr.ndim > most or arr.size == 0:
-        raise ConfigError(f"at: {kind} takes a non-empty array of at most {most} dimensions, got shape {arr.shape}")
-    return arr
-
-
-def _matrix_t_params(params: dict, m: int, n: int) -> TDistParams:
-    """The matrix-t parameters in params for an m x n point; errors name the parameter."""
-    given = {}
-    for name, default in (("M", np.zeros((m, n))), ("Sigma", np.eye(m)), ("Omega", np.eye(n))):
-        try:
-            given[name] = value = np.atleast_2d(np.asarray(params.get(name, default), dtype=float))
-            if value.shape != default.shape:
-                raise ValueError(f"expected shape {default.shape}, got {value.shape}")
-            if not np.isfinite(value).all():
-                raise ValueError("entries must be finite")
-            if name != "M":
-                matcore.spd_logdet(value)  # raises unless positive definite
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"params: {name}: {exc}") from None
-    try:
-        q = _real(params.get("q", 1.0))
-        if not math.isfinite(q):
-            raise ValueError(f"must be finite, got {q}")
-        return TDistParams(q=q, **given)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"params: q: {exc}") from None
+# Every density parameter: its reader and the kinds that read it
+_PARAMS = {
+    "M": (as_reals, ("matrix-t",)),
+    "Sigma": (as_reals, ("matrix-t",)),
+    "Omega": (as_reals, ("matrix-t",)),
+    "q": (_real, ("matrix-t",)),
+    "u": (_list(_real), ("girko",)),
+}
 
 
 def density_value(kind: str, params: dict, at) -> float:
-    """Evaluate one of the closed-form log densities at a point."""
+    """Evaluate one of the closed-form log densities at a point; errors name the parameter or at."""
     if not isinstance(params, dict):
         raise ConfigError(f"params: expected a JSON object, got {params!r}")
-    if kind == "universal-real":
-        return densities.log_universal_real(_parse_point(kind, at))
+    _refuse_unknown(params, _PARAMS, "params: ")
+    if kind not in DENSITY_KINDS:
+        raise ConfigError(f"kind: must be one of {DENSITY_KINDS}, got {kind!r}")
+    given = _read_keys(params, _PARAMS, kind, "params: ")
+    _refuse_unread(params, _PARAMS, kind, f"the {kind} density", "params: ")
+    try:
+        Z = as_reals(at)
+    except ValueError as exc:
+        raise ConfigError(f"at: {exc}") from None
     if kind == "universal-complex":
-        return densities.log_universal_complex(_parse_point(kind, at))
-    if kind == "matrix-t":
-        Z = np.atleast_2d(_parse_point(kind, at))
-        return densities.log_matrix_t(Z, _matrix_t_params(params, *Z.shape))
+        if Z.ndim != 3 or Z.shape[2] != 2:
+            raise ConfigError("at: complex points use [re, im] pairs, e.g. [[[0.1, 0.2]]]")
+        return densities.log_universal_complex(Z[..., 0] + 1j * Z[..., 1])
+    most = 1 if kind == "girko" else 2  # a solution vector, else a matrix
+    if Z.ndim > most or Z.size == 0:
+        raise ConfigError(f"at: {kind} takes a non-empty array of at most {most} dimensions, got shape {Z.shape}")
+    if kind == "universal-real":
+        return densities.log_universal_real(Z)
     if kind == "girko":
+        return girko.girko_logdensity(Z, given.get("u", ()))
+    Z = np.atleast_2d(Z)
+    m, n = Z.shape
+    scales = {"M": np.zeros((m, n)), "Sigma": np.eye(m), "Omega": np.eye(n)}
+    for name, default in list(scales.items()):
+        scales[name] = value = np.atleast_2d(given.get(name, default))
         try:
-            u = np.asarray(params.get("u", ()), dtype=float)
-        except (TypeError, ValueError):
-            u = None
-        if u is None or u.ndim != 1 or not np.isfinite(u).all():
-            raise ConfigError(f"params: u must be a list of finite numbers, got {params.get('u')!r}")
-        return girko.girko_logdensity(_parse_point(kind, at), u)
-    raise ConfigError(f"kind: must be one of {DENSITY_KINDS}, got {kind!r}")
+            if value.shape != default.shape:
+                raise ValueError(f"expected shape {default.shape}, got {value.shape}")
+            if name != "M":
+                matcore.spd_logdet(value)  # raises unless positive definite
+        except ValueError as exc:
+            raise ConfigError(f"params: {name}: {exc}") from None
+    try:
+        t_params = TDistParams(q=given.get("q", 1.0), **scales)
+    except ValueError as exc:
+        raise ConfigError(f"params: q: {exc}") from None
+    return densities.log_matrix_t(Z, t_params)
 
 
 # ---------------------------------------------------------------------------
@@ -709,17 +704,21 @@ def _cmd_identities(args) -> int:
 
 def _cmd_density(args) -> int:
     try:
-        params = json.loads(args.params) if args.params else {}
-        at = json.loads(args.at)
-        logp = density_value(args.kind, params, at)
-    except (ConfigError, ValueError) as exc:
+        given = {}
+        for name, text in (("params", args.params or "{}"), ("at", args.at)):
+            try:
+                given[name] = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
+        logp = density_value(args.kind, given["params"], given["at"])
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         density = math.exp(logp)
     except OverflowError:  # a finite log density past the largest float
         density = math.inf
-    print(json.dumps({"at": at, "density": density, "kind": args.kind, "log_density": logp}, sort_keys=True))
+    print(json.dumps({"at": given["at"], "density": density, "kind": args.kind, "log_density": logp}, sort_keys=True))
     return 0
 
 

@@ -215,8 +215,9 @@ def gamma_identity_residual(m: int, n: int) -> float:
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    left = [math.lgamma(0.5 * (n + j)) - math.lgamma(0.5 * j) for j in range(1, m + 1)]
-    right = [math.lgamma(0.5 * (m + j)) - math.lgamma(0.5 * j) for j in range(1, n + 1)]
+    half = [math.inf] + [math.lgamma(0.5 * k) for k in range(1, m + n + 1)]  # half[k] = lgamma(k/2)
+    left = [half[n + j] - half[j] for j in range(1, m + 1)]
+    right = [half[m + j] - half[j] for j in range(1, n + 1)]
     return abs(math.fsum(left + [-t for t in right]))
 
 

@@ -52,14 +52,40 @@ class ResampleLimit(RuntimeError):
     """Too many consecutive near-singular draws; the ensemble is degenerate."""
 
 
-def as_integer(value, name: str | None = None) -> int:
-    """value as an int: bools and numbers with a fraction are refused, never cut.
+def _is_number(value) -> bool:
+    """True for ints and floats, numpy's too; False for bools, strings, None and containers."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
-    The ValueError names the field when name is given.
+
+def as_integer(value, name: str | None = None) -> int:
+    """value as an int: a number without a fractional part.
+
+    Bools, strings, None, inf, nan and numbers with a fraction are refused,
+    never cut or parsed.  The ValueError names the field when name is given.
     """
-    if isinstance(value, bool) or isinstance(value, (float, np.floating)) and not float(value).is_integer():
-        raise ValueError(f"{name + ': ' if name else ''}expected an integer, got {value!r}")
-    return int(value)
+    if _is_number(value) and (isinstance(value, (int, np.integer)) or float(value).is_integer()):
+        return int(value)
+    raise ValueError(f"{name + ': ' if name else ''}expected an integer, got {value!r}")
+
+
+def as_reals(values, name: str | None = None) -> np.ndarray:
+    """values, a number or nested lists of them, as a float array of their shape.
+
+    Every entry must be a finite number: bools, strings, None, inf and nan
+    are refused, as are ragged lists.  The ValueError names the field when
+    name is given.
+    """
+    label = name + ": " if name else ""
+    entries = np.asarray(values, dtype=object)  # object keeps bools and strings apart from numbers
+    if not all(_is_number(x) for x in entries.flat):
+        raise ValueError(f"{label}expected numbers, got {values!r}")
+    try:
+        reals = entries.astype(float)
+    except OverflowError:  # an integer past the largest float
+        reals = np.array(math.inf)
+    if not np.isfinite(reals).all():
+        raise ValueError(f"{label}entries must be finite, got {values!r}")
+    return reals
 
 
 @dataclass(frozen=True)

@@ -33,17 +33,6 @@ class QuadratureFailure(RuntimeError):
     """Adaptive quadrature did not reach the requested accuracy."""
 
 
-def _parameters(u) -> tuple[float, ...]:
-    """u as finite floats; bools are refused, not read as 0 or 1, as parse_config does."""
-    u = np.ravel(np.asarray(u, dtype=object))  # object keeps bools apart from numbers
-    if any(isinstance(x, (bool, np.bool_)) for x in u):
-        raise ValueError(f"u: expected numbers, got {list(u)!r}")
-    values = tuple(float(x) for x in u)
-    if not all(math.isfinite(x) for x in values):
-        raise ValueError(f"u: entries must be finite, got {list(values)}")
-    return values
-
-
 @dataclass(frozen=True)
 class LinearSystemSpec:
     """An ensemble of m linear equations in m unknowns with n parameters.
@@ -60,7 +49,7 @@ class LinearSystemSpec:
     def __init__(self, m, n, u=(), radial=ensembles.GaussianEntries()):
         object.__setattr__(self, "m", ensembles.as_integer(m, "m"))
         object.__setattr__(self, "n", ensembles.as_integer(n, "n"))
-        object.__setattr__(self, "u", _parameters(u))
+        object.__setattr__(self, "u", tuple(ensembles.as_reals(u, "u").ravel().tolist()))
         object.__setattr__(self, "radial", radial)
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
@@ -166,7 +155,7 @@ def solution_sampler(spec: LinearSystemSpec) -> Callable:
 
 def stable_sampler(m: int, n: int, u, law: StableLaw) -> Callable:
     """The sampler of systems B z = b - X u whose entries of A and b are i.i.d. from law."""
-    u = np.array(_parameters(u))
+    u = ensembles.as_reals(u, "u").ravel()
     if u.size != n:
         raise ValueError(f"u has {u.size} entries, expected n = {n}")
     split = _system_split(m, n, u)

@@ -1,10 +1,12 @@
 """Tests for the experiment runner, report emission, and command line."""
 
+import dataclasses
 import hashlib
 import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import threading
@@ -219,6 +221,17 @@ class TestConfigParsing:
             ({"kind": "universality", "radial": ["shell:inf", "gaussian"]}, "radial"),
             ({"kind": "universality", "radial": ["ball:inf", "gaussian"]}, "radial"),
             ({"kind": "universality", "radial": ["two-shell:1,inf,0.5", "gaussian"]}, "radial"),
+            # a field takes JSON numbers and strings as such, never a quoted number or a number as a path
+            ({"out": 5}, "out"),
+            ({"m": "2"}, "m"),
+            ({"seed": "7"}, "seed"),
+            ({"samples": "100"}, "samples"),
+            ({"kind": "girko", "u": ["0.75"], "radial": ["gaussian", "shell:1"]}, "u"),
+            ({"significance": "0.01"}, "significance"),
+            # an integer past the largest float is not a finite real
+            ({"kind": "girko-stable", "alpha": 1, "u": [0.75], "scale": 10**400}, "scale"),
+            # every read field's type is checked before any field's bound
+            ({"seed": -1, "m": "x"}, "m"),
         ],
     )
     def test_bad_input_fails_at_parse_time(self, tmp_path, capsys, overrides, field):
@@ -266,6 +279,12 @@ class TestConfigParsing:
     def test_shared_fields_valid_for_every_kind(self, kind):
         raw = dict(EVERY_KIND[kind], seed=3, significance=1e-4, shards=2, out="x", format="both")
         assert cli.parse_config(raw).echo()["shards"] == 2
+
+    def test_key_table_matches_the_config(self):
+        names = [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+        assert list(cli._FIELDS) == names
+        for raw in EVERY_KIND.values():
+            assert sorted(cli.parse_config(raw).echo()) == sorted(set(names) - {"out", "format"})
 
     def test_identities_refuses_sampling_fields(self):
         for key, value in [("samples", 7), ("n", 1), ("radial", ["gaussian", "shell:1"])]:
@@ -531,6 +550,20 @@ class TestCommandLine:
         assert (tmp_path / "rep.json").exists() and (tmp_path / "rep.csv").exists()
         assert "PASS" in capsys.readouterr().out
 
+    def test_run_null_out_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(small_config(samples=100, out=None)))
+        assert cli.main(["run", "cfg.json"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"] and "wrote" not in capsys.readouterr().out
+
+    def test_readme_density_examples_run(self, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        commands = [shlex.split(line, comments=True) for line in readme.splitlines() if line.startswith("rmtlab density ")]
+        assert len(commands) == 4
+        for argv in commands:
+            assert cli.main(argv[1:]) == 0, argv
+            assert math.isfinite(json.loads(capsys.readouterr().out)["log_density"])
+
     def test_run_flag_overrides_seed(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(small_config()))
@@ -658,6 +691,19 @@ class TestCommandLine:
             (["--kind", "matrix-t", "--params", '{"q": "x"}', "--at", "[[1]]"], "params: q"),
             (["--kind", "matrix-t", "--params", '{"Sigma": [[-1]]}', "--at", "[[1]]"], "params: Sigma"),
             (["--kind", "universal-real", "--at", "[[1, null]]"], "at"),
+            (["--kind", "girko", "--params", '{"u": [true]}', "--at", "[0.5]"], "params: u"),
+            (["--kind", "girko", "--params", '{"u": ["0.5"]}', "--at", "[0.5]"], "params: u"),
+            (["--kind", "universal-real", "--at", "[true, false]"], "at"),
+            (["--kind", "universal-real", "--at", '[["0.5"]]'], "at"),
+            (["--kind", "matrix-t", "--params", '{"q": "2"}', "--at", "[[1]]"], "params: q"),
+            (["--kind", "matrix-t", "--params", '{"Sigma": [[true]]}', "--at", "[[1]]"], "params: Sigma"),
+            (["--kind", "universal-real", "--params", '{"bogus": 1}', "--at", "[[1]]"], "params: bogus"),
+            (["--kind", "universal-real", "--params", '{"u": [0.5]}', "--at", "[[1]]"], "params: u"),
+            (["--kind", "universal-real", "--params", "{", "--at", "[[1]]"], "params"),
+            (["--kind", "universal-real", "--at", "[[1]"], "at"),
+            (["--kind", "universal-real", "--at", "[[1" + "0" * 400 + "]]"], "at"),
+            # the params are read before the point
+            (["--kind", "matrix-t", "--params", '{"q": "x"}', "--at", "[[null]]"], "params: q"),
         ],
     )
     def test_density_bad_input_exit_two(self, capsys, argv, field):

@@ -90,7 +90,8 @@ class TestRadialLaws:
 
 
 class TestSpecs:
-    @pytest.mark.parametrize(("m", "n", "field"), [(2.5, 1, "m"), (2, 0.5, "n"), (True, 1, "m"), (2, False, "n")])
+    @pytest.mark.parametrize(("m", "n", "field"), [(2.5, 1, "m"), (2, 0.5, "n"), (True, 1, "m"), (2, False, "n"),
+                                                   ("2", 1, "m")])
     def test_ensemble_spec_refuses_fractional_dimensions(self, m, n, field):
         with pytest.raises(ValueError, match=f"^{field}: expected an integer"):
             en.EnsembleSpec(m=m, n=n)
@@ -99,7 +100,7 @@ class TestSpecs:
         spec = en.EnsembleSpec(m=2.0, n=np.int64(1))
         assert (spec.m, spec.n, spec.dim) == (2, 1, 6) and type(spec.m) is type(spec.n) is int
 
-    @pytest.mark.parametrize("cols", [[1.9, 2], [True, 2], [1, np.float64(2.5)]])
+    @pytest.mark.parametrize("cols", [[1.9, 2], [True, 2], [1, np.float64(2.5)], ["1", "2"]])
     def test_partition_spec_refuses_fractional_columns(self, cols):
         with pytest.raises(en.BadPartition, match="^b_columns: expected an integer"):
             en.PartitionSpec(cols)

@@ -155,7 +155,7 @@ class TestSampleSolution:
         with pytest.raises(ValueError):
             girko.LinearSystemSpec(m=2, n=1, u=())
 
-    @pytest.mark.parametrize(("m", "n", "field"), [(2.7, 1, "m"), (2, 1.5, "n"), (True, 1, "m")])
+    @pytest.mark.parametrize(("m", "n", "field"), [(2.7, 1, "m"), (2, 1.5, "n"), (True, 1, "m"), ("2", 1, "m")])
     def test_spec_refuses_fractional_dimensions(self, m, n, field):
         with pytest.raises(ValueError, match=f"^{field}: expected an integer"):
             girko.LinearSystemSpec(m=m, n=n, u=(1.0,))
@@ -165,7 +165,8 @@ class TestSampleSolution:
                                               ((math.nan,), "entries must be finite"),
                                               ((-math.inf,), "entries must be finite"),
                                               ((True,), "expected numbers"),
-                                              (np.array([False]), "expected numbers")])
+                                              (np.array([False]), "expected numbers"),
+                                              (("0.5",), "expected numbers")])
     def test_spec_and_stable_sampler_refuse_bad_parameters(self, u, error):
         with pytest.raises(ValueError, match=f"^u: {error}"):
             girko.LinearSystemSpec(m=2, n=1, u=u)
