@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -69,36 +70,46 @@ class ConfigError(ValueError):
 
 
 # Each radial law's descriptor name; a descriptor is the name, then ":" and
-# the law's fields in order, comma-separated
+# the law's fields in order, comma-separated, each a plain ASCII decimal number
 _LAWS = {"gaussian": GaussianEntries, "shell": FixedShell, "ball": UniformBall, "two-shell": TwoShellMixture}
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 def parse_radial(desc) -> RadialLaw:
     """Parse a radial law descriptor.
 
-    Accepted forms: "gaussian", "shell:R", "ball:R", "two-shell:r1,r2,w".
-    A bad descriptor raises ValueError; parse_config prefixes "radial: ".
+    Accepted forms: "gaussian", "shell:R", "ball:R", "two-shell:r1,r2,w",
+    the values plain decimal numbers such as 2, 0.5 or 1e+06.  A bad
+    descriptor raises ValueError; parse_config prefixes "radial: ".
     """
     if type(desc) in _LAWS.values():
         return desc
     if not isinstance(desc, str):
         raise ValueError(f"expected a descriptor string, got {desc!r}")
-    name, _, arg = desc.partition(":")
+    name, colon, arg = desc.partition(":")
     law = _LAWS.get(name)
     if law is None:
         raise ValueError(f"unknown law {desc!r}")
     try:
-        values = [float(x) for x in arg.split(",")] if arg else []
-        if len(values) != len(fields(law)):
+        texts = arg.split(",") if colon else []
+        if not all(_DECIMAL.fullmatch(x) for x in texts):
+            raise ValueError("values must be plain decimal numbers")
+        if len(texts) != len(fields(law)):
             raise ValueError(f"{name} takes {len(fields(law))} values")
-        return law(*values)
+        return law(*map(float, texts))
     except ValueError as exc:  # InvalidLaw is a ValueError
         raise ValueError(f"bad descriptor {desc!r} ({exc})") from None
 
 
+def _shortest_g(value: float) -> str:
+    """value in %g form with the fewest significant digits, six at least, that read back as value."""
+    return next(text for text in (f"{value:.{digits}g}" for digits in range(6, 18)) if float(text) == value)
+
+
 def radial_label(law: RadialLaw) -> str:
+    """The descriptor of law, which parse_radial reads back as law."""
     name = next(name for name, cls in _LAWS.items() if type(law) is cls)
-    values = ",".join(f"{getattr(law, f.name):g}" for f in fields(law))
+    values = ",".join(_shortest_g(getattr(law, f.name)) for f in fields(law))
     return f"{name}:{values}" if values else name
 
 

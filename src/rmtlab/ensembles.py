@@ -272,24 +272,23 @@ def draw_block(sampler: Callable, rng: np.random.Generator, k: int) -> tuple[np.
     """Draw k systems B Z = R from rng and solve them all: (Z stack, rejections).
 
     sampler(rng, k) draws the k systems in one call as the stacks B (k, m, m)
-    and R (k, m, c), writable in place; they are flagged in one
-    matcore.near_singular call.  The numerically singular ones are redrawn
-    from rng, all flagged rows in one call, until none is flagged; the
+    and R (k, m, c); one matcore.solve_flagged call solves and flags them.
+    The numerically singular ones are redrawn from rng, all flagged rows in
+    one call, and solved and flagged again, until none is flagged; the
     rejections are counted.  Raises ResampleLimit once a row is flagged
-    MAX_REJECTS times in a row.  Z = B^-1 R comes from one stacked LAPACK
-    solve and has shape (k, m, c).
+    MAX_REJECTS times in a row.  Z = B^-1 R has shape (k, m, c).
     """
-    B, R = sampler(rng, k)
-    rows = np.flatnonzero(matcore.near_singular(B))
+    Z, flagged = matcore.solve_flagged(*sampler(rng, k))
+    rows = np.flatnonzero(flagged)
     rejects = streak = 0  # every row still flagged has been flagged in each round so far
     while rows.size:
         streak += 1
         rejects += rows.size
         if streak >= MAX_REJECTS:
             raise ResampleLimit(f"{streak} consecutive near-singular draws")
-        B[rows], R[rows] = sampler(rng, rows.size)
-        rows = rows[matcore.near_singular(B[rows])]
-    return np.linalg.solve(B, R), rejects
+        Z[rows], again = matcore.solve_flagged(*sampler(rng, rows.size))
+        rows = rows[again]
+    return Z, rejects
 
 
 def draw_rows(sampler: Callable, seed: int, stream: int, n: int, row_of: Callable) -> tuple[np.ndarray, int]:

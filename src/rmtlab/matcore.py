@@ -1,12 +1,14 @@
 """Dense linear algebra kernels for small real and complex matrices.
 
-Solves, log-determinants and Cholesky factorizations go to numpy's LAPACK,
-stacked over many small matrices at once where the samplers need them.
-Only the near-singularity rejection rule stays written out: a partial-pivot
-elimination over a stack of matrices that keeps just the pivot magnitudes.
-It runs on a k-last (m, m, k) copy of the stack, so that each pivot search,
-row swap and update is one numpy call over contiguous k-vectors.
-Determinants are only ever formed in the log domain.
+The samplers' block kernel is written out: solve_flagged runs one
+partial-pivot elimination of [B | R] over a stack of small systems, flags
+each by the near-singularity rule on its pivot magnitudes and
+back-substitutes the pivot rows into Z = B^-1 R.  It runs on a k-last
+(m, m + c, k) copy of the stack, so that each pivot search, row swap,
+update and substitution step is one numpy call over contiguous k-vectors.
+near_singular is its flags alone.  The public solve_multi, log-determinants
+and Cholesky factorizations go to numpy's LAPACK.  Determinants are only
+ever formed in the log domain.
 """
 
 from __future__ import annotations
@@ -33,36 +35,53 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
     return m.astype(dtype, copy=False)
 
 
-def near_singular(B) -> np.ndarray:
-    """Flag each matrix of a (k, m, m) stack by the pivot-ratio rule.
+def solve_flagged(B, R) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each system of a (k, m, m) stack B and (k, m, c) stack R, and flag it.
 
-    Runs a partial-pivot LU elimination on all k matrices at once.  A
-    matrix is flagged when min |pivot| <= NEAR_SINGULAR_RATIO * max |pivot|,
-    with the threshold read at call time so it can be changed for the whole
-    process.  Exact zero pivots, NaN pivots and non-finite entries are
-    flagged instead of raising.
+    Runs one partial-pivot LU elimination of the augmented [B | R] on all k
+    systems at once, then back-substitutes the pivot rows into Z = B^-1 R,
+    of shape (k, m, c).  A system is flagged when min |pivot| <=
+    NEAR_SINGULAR_RATIO * max |pivot|, with the threshold read at call time
+    so it can be changed for the whole process.  Exact zero pivots, NaN
+    pivots and non-finite entries are flagged instead of raising; a flagged
+    system's Z is whatever the arithmetic gives, inf and NaN included.
     """
-    A = np.asarray(B, dtype=np.result_type(B, np.float64))
-    m = A.shape[-1]
-    if m == 1:  # the one pivot is the entry itself: min = max = |b|
-        a = np.abs(A[:, 0, 0])
-        return ~(a > NEAR_SINGULAR_RATIO * a)
-    T = A.transpose(1, 2, 0).copy()  # (m, m, k): each step runs over contiguous k-vectors
-    pivots = np.empty(T.shape[1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    B, R = np.asarray(B), np.asarray(R)
+    k, m, c = R.shape
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if m == 1:  # the one pivot is the entry itself: min = max = |b|
+            a = np.abs(B[:, 0, 0])
+            return R / B, ~(a > NEAR_SINGULAR_RATIO * a)
+        # (m, m + c, k): each step runs over contiguous k-vectors
+        T = np.empty((m, m + c, k), dtype=np.result_type(B, R, np.float64))
+        T[:, :m] = B.transpose(1, 2, 0)
+        T[:, m:] = R.transpose(1, 2, 0)
+        pivots = np.empty((m, k))
+        system = np.arange(k)
         for j in range(m - 1):
             # columns left of j are never read again, so only j: is swapped:
             # the pivot row is read out, then row j moves to the pivot row's old place
-            p = np.argmax(np.abs(T[j:, j]), axis=0)[None, None]
-            pivot_row = np.take_along_axis(T[j:, j:], p, axis=0)[0]
-            T[j:, j:] = np.where(np.arange(m - j)[:, None, None] == p, T[j, j:], T[j:, j:])
-            T[j, j:] = pivot_row
+            p = j + np.argmax(np.abs(T[j:, j]), axis=0)
+            pivot_row = T[p, j:, system]  # (k, m + c - j)
+            T[p, j:, system] = T[j, j:].T
+            T[j, j:] = pivot_row.T
             d = T[j, j]
             pivots[j] = np.abs(d)
             mult = T[j + 1:, j] / d
             T[j + 1:, j + 1:] -= mult[:, None] * T[j, None, j + 1:]
-    pivots[-1] = np.abs(T[-1, -1])  # the last step has one candidate row
-    return ~(pivots.min(axis=0) > NEAR_SINGULAR_RATIO * pivots.max(axis=0))
+        pivots[-1] = np.abs(T[-1, m - 1])  # the last step has one candidate row
+        # back-substitution in place: row i of Z replaces row i's right-hand side
+        for i in range(m - 1, -1, -1):
+            T[i, m:] /= T[i, i]
+            T[:i, m:] -= T[:i, i, None] * T[i, None, m:]
+    flagged = ~(pivots.min(axis=0) > NEAR_SINGULAR_RATIO * pivots.max(axis=0))
+    return T[:, m:].transpose(2, 0, 1).copy(), flagged
+
+
+def near_singular(B) -> np.ndarray:
+    """Flag each matrix of a (k, m, m) stack by solve_flagged's pivot-ratio rule."""
+    B = np.asarray(B)
+    return solve_flagged(B, np.empty((*B.shape[:2], 0), B.dtype))[1]
 
 
 def solve_multi(B, X) -> np.ndarray:

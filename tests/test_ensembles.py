@@ -276,12 +276,30 @@ class TestDrawBlock:
         assert np.abs(B @ Z - X).max() <= 1e-10 * np.abs(B).max() * np.abs(Z).max()
 
     def test_forced_rejections_are_redrawn(self, monkeypatch):
-        # at ratio 0.3 many 2 x 2 B blocks are flagged and redrawn
+        # at ratio 0.3 many 2 x 2 B blocks are flagged and redrawn, in several rounds
         monkeypatch.setattr(matcore, "NEAR_SINGULAR_RATIO", 0.3)
         sampler = en.ratio_sampler(en.EnsembleSpec(m=2, n=1))
-        Z, rej = en.draw_block(sampler, gen(44), en.BLOCK)
+        drawn = []
+
+        def recording(rng, k):
+            B, R = sampler(rng, k)
+            drawn.append((B.copy(), R.copy()))
+            return B, R
+
+        Z, rej = en.draw_block(recording, gen(44), en.BLOCK)
         assert rej > 0 and Z.shape == (en.BLOCK, 2, 1) and np.isfinite(Z).all()
         assert en.draw_block(sampler, gen(44), en.BLOCK)[0].tobytes() == Z.tobytes()
+        # replay the rounds: each redraw replaces the rows still flagged
+        B, R = (a.copy() for a in drawn[0])
+        redrawn = rows = np.flatnonzero(matcore.near_singular(B))
+        for B_again, R_again in drawn[1:]:
+            B[rows], R[rows] = B_again, R_again
+            rows = rows[matcore.near_singular(B_again)]
+        assert rows.size == 0 and len(drawn) > 2 and rej == sum(len(b) for b, _ in drawn[1:])
+        # every row's Z solves its own final system, not the draw it replaced
+        assert np.abs(B @ Z - R).max() <= 1e-10 * np.abs(B).max() * np.abs(Z).max()
+        first_B, first_R = drawn[0]
+        assert (np.abs(first_B[redrawn] @ Z[redrawn] - first_R[redrawn]).max(axis=(1, 2)) > 1e-6).all()
 
     def test_forced_rejections_reproducible_across_shards(self, monkeypatch):
         monkeypatch.setattr(matcore, "NEAR_SINGULAR_RATIO", 0.3)

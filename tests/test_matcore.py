@@ -14,8 +14,9 @@ from rmtlab import matcore as mc
 def reference_pivots(B):
     """|pivot| of each step of a partial-pivot LU of one square matrix.
 
-    The single-matrix form of the rule that matcore.near_singular runs on a
-    stack; exact zero and non-finite pivots come out as 0, inf or NaN.
+    The single-matrix form of the rule that matcore.solve_flagged and
+    near_singular run on a stack; exact zero and non-finite pivots come out
+    as 0, inf or NaN.
     """
     A = np.array(B, dtype=np.result_type(B, np.float64))
     n = len(A)
@@ -153,6 +154,15 @@ class TestSingularValueTie:
             assert abs(lhs - rhs) < 1e-8
 
 
+def stack_flags(B, rng):
+    """near_singular's flags of B, checked equal to solve_flagged's with 1 and 3 random right-hand sides."""
+    flags = mc.near_singular(B).tolist()
+    for c in (1, 3):
+        R = rng.standard_normal((*B.shape[:2], c)).astype(B.dtype)
+        assert mc.solve_flagged(B, R)[1].tolist() == flags
+    return flags
+
+
 class TestNearSingularStack:
     def test_matches_single_matrix_rule(self, monkeypatch):
         # the stacked flag is the single-matrix rule applied to each matrix,
@@ -164,18 +174,18 @@ class TestNearSingularStack:
                 B = rng.standard_normal((200, m, m))
                 B[::7, :, 0] *= 1e-14  # a near-zero column in every seventh matrix
                 want = [reference_flag(b) for b in B]
-                assert mc.near_singular(B).tolist() == want
+                assert stack_flags(B, rng) == want
 
     def test_complex_stack(self):
         rng = np.random.default_rng(115)
         B = rng.standard_normal((50, 3, 3)) + 1j * rng.standard_normal((50, 3, 3))
         B[3, 2] *= 1e-14  # a near-zero row
-        flags = mc.near_singular(B)
-        assert flags[3] and flags.tolist() == [reference_flag(b) for b in B]
+        flags = stack_flags(B, rng)
+        assert flags[3] and flags == [reference_flag(b) for b in B]
 
     def test_zero_and_nonfinite_flagged(self):
         B = np.stack([np.eye(2), np.zeros((2, 2)), [[1.0, np.nan], [0.0, 1.0]], [[0.0, 1.0], [0.0, 2.0]]])
-        assert mc.near_singular(B).tolist() == [False, True, True, True]
+        assert stack_flags(B, np.random.default_rng(117)) == [False, True, True, True]
         assert [reference_flag(b) for b in B] == [False, True, True, True]
 
     def test_one_by_one_stack(self, monkeypatch):
@@ -183,11 +193,29 @@ class TestNearSingularStack:
         b = [0.0, np.inf, -np.inf, np.nan, 1e-300, 5e-324, -2.5, 1e300, 0.7]
         B = np.array(b).reshape(-1, 1, 1)
         want = [True, True, True, True, False, False, False, False, False]
+        rng = np.random.default_rng(118)
         for ratio in (mc.NEAR_SINGULAR_RATIO, 0.3):
             monkeypatch.setattr(mc, "NEAR_SINGULAR_RATIO", ratio)
-            assert mc.near_singular(B).tolist() == want
-            assert mc.near_singular(B * (1 - 1j)).tolist() == want
+            assert stack_flags(B, rng) == want
+            assert stack_flags(B * (1 - 1j), rng) == want
             assert [reference_flag(x) for x in B] == want
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_solutions_are_backward_stable(self, m, is_complex):
+        # an unflagged system is solved to a backward error of a few
+        # rounding errors per row: |B Z - R| <= 4 m eps |B| |Z| (Frobenius)
+        rng = np.random.default_rng(119 + m)
+        B = rng.standard_normal((300, m, m))
+        R = rng.standard_normal((300, m, 3))
+        if is_complex:
+            B = B + 1j * rng.standard_normal(B.shape)
+            R = R + 1j * rng.standard_normal(R.shape)
+        B[::3] *= np.logspace(-4, 4, m)  # graded columns in every third system
+        Z, flagged = mc.solve_flagged(B, R)
+        assert Z.shape == R.shape and Z.dtype == R.dtype and not flagged.any()
+        norm = lambda a: np.linalg.norm(a, axis=(1, 2))
+        assert (norm(B @ Z - R) <= 4 * m * np.finfo(float).eps * norm(B) * norm(Z)).all()
 
 
 def make_special(kind: str, b: np.ndarray, rng: np.random.Generator) -> None:
@@ -213,6 +241,7 @@ def make_special(kind: str, b: np.ndarray, rng: np.random.Generator) -> None:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_near_singular_is_the_single_matrix_rule(m, is_complex, kinds, ratio, seed):
+    # solve_flagged flags by the same rule, whatever its right-hand sides
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((len(kinds), m, m))
     if is_complex:
@@ -220,7 +249,7 @@ def test_near_singular_is_the_single_matrix_rule(m, is_complex, kinds, ratio, se
     for b, kind in zip(B, kinds):
         make_special(kind, b, rng)
     with mock.patch.object(mc, "NEAR_SINGULAR_RATIO", ratio):
-        assert mc.near_singular(B).tolist() == [reference_flag(b) for b in B]
+        assert stack_flags(B, rng) == [reference_flag(b) for b in B]
 
 
 class TestGramLogdet:

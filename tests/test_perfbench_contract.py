@@ -48,5 +48,6 @@ def test_tracer_wraps_a_run_and_restores(bench, tmp_path):
     assert report.passed
     table = tracer.SpanTable(tr.spans(), tr.names)
     assert table.calls("cli.run") == 1 and table.calls("girko.girko_stable_cdf") > 0
+    assert table.calls("matcore.solve_flagged") > 0  # the block kernel shows in a traced run
     metrics = run.layer_metrics(table, [cfg.kind], 1.0, 1.0)
     assert all(math.isfinite(value) for value, _ in metrics.values())
