@@ -298,15 +298,17 @@ def draw_rows(sampler: Callable, seed: int, stream: int, n: int, row_of: Callabl
     them in one draw_block call from a new generator on the substream
     (seed, stream << 32 | b), so the rows depend on (seed, stream) alone.
     row_of maps a block's (k, m, c) solution stack to its k rows, so only
-    the rows, never all solutions, are pooled.  The rejections of all blocks
-    are summed.
+    the rows, never all solutions, are pooled: each block's rows are copied,
+    since the solutions are a view of draw_block's larger work array and a
+    row_of that returns a view of them would keep that array alive.  The
+    rejections of all blocks are summed.
     """
     rows = []
     rejected = 0
     for b, first in enumerate(range(0, n, BLOCK)):
         rng = RngStream(seed, (stream << 32) | b).generator()
         Z, rej = draw_block(sampler, rng, min(BLOCK, n - first))
-        rows.append(row_of(Z))
+        rows.append(np.array(row_of(Z)))
         rejected += rej
     return np.concatenate(rows), rejected
 

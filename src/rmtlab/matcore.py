@@ -1,14 +1,15 @@
 """Dense linear algebra kernels for small real and complex matrices.
 
-The samplers' block kernel is written out: solve_flagged runs one
-partial-pivot elimination of [B | R] over a stack of small systems, flags
-each by the near-singularity rule on its pivot magnitudes and
-back-substitutes the pivot rows into Z = B^-1 R.  It runs on a k-last
-(m, m + c, k) copy of the stack, so that each pivot search, row swap,
-update and substitution step is one numpy call over contiguous k-vectors.
-near_singular is its flags alone.  The public solve_multi, log-determinants
-and Cholesky factorizations go to numpy's LAPACK.  Determinants are only
-ever formed in the log domain.
+The samplers' two block kernels are written out, each on a k-last array,
+so that every step is one numpy call over contiguous k-vectors.
+solve_flagged runs one partial-pivot elimination of [B | R] over a stack of
+small systems on an (m, m + c, k) copy, flags each by the near-singularity
+rule on its pivot magnitudes, back-substitutes the pivot rows into
+Z = B^-1 R and returns Z as a view of that copy.  gram_logdet reads such a
+Z and takes log det(I + Z Z^H) by an LDL^H of the Gram of its smaller side.
+near_singular is solve_flagged's flags alone.  The public solve_multi,
+spd_logdet and cholesky go to numpy's LAPACK.  Determinants are only ever
+formed in the log domain.
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ def solve_flagged(B, R) -> tuple[np.ndarray, np.ndarray]:
 
     Runs one partial-pivot LU elimination of the augmented [B | R] on all k
     systems at once, then back-substitutes the pivot rows into Z = B^-1 R,
-    of shape (k, m, c).  A system is flagged when min |pivot| <=
-    NEAR_SINGULAR_RATIO * max |pivot|, with the threshold read at call time
-    so it can be changed for the whole process.  Exact zero pivots, NaN
-    pivots and non-finite entries are flagged instead of raising; a flagged
-    system's Z is whatever the arithmetic gives, inf and NaN included.
+    of shape (k, m, c): a view of the k-last work array, not a copy.  A
+    system is flagged when min |pivot| <= NEAR_SINGULAR_RATIO * max |pivot|,
+    with the threshold read at call time so it can be changed for the whole
+    process.  Exact zero pivots, NaN pivots and non-finite entries are
+    flagged instead of raising; a flagged system's Z is whatever the
+    arithmetic gives, inf and NaN included.  At m = 1, Z is R / B.
     """
     B, R = np.asarray(B), np.asarray(R)
     k, m, c = R.shape
@@ -57,14 +59,19 @@ def solve_flagged(B, R) -> tuple[np.ndarray, np.ndarray]:
         T[:, :m] = B.transpose(1, 2, 0)
         T[:, m:] = R.transpose(1, 2, 0)
         pivots = np.empty((m, k))
+        # the row swap moves values by their offsets in the flat T: entry
+        # (row, col, system) sits at (row * (m + c) + col) * k + system
+        flat = T.reshape(-1)
         system = np.arange(k)
+        col_offsets = np.arange(m + c)[:, None] * k
         for j in range(m - 1):
             # columns left of j are never read again, so only j: is swapped:
             # the pivot row is read out, then row j moves to the pivot row's old place
             p = j + np.argmax(np.abs(T[j:, j]), axis=0)
-            pivot_row = T[p, j:, system]  # (k, m + c - j)
-            T[p, j:, system] = T[j, j:].T
-            T[j, j:] = pivot_row.T
+            where = col_offsets[j:] + (p * ((m + c) * k) + system)  # (m + c - j, k)
+            pivot_row = flat.take(where)
+            flat[where] = T[j, j:]
+            T[j, j:] = pivot_row
             d = T[j, j]
             pivots[j] = np.abs(d)
             mult = T[j + 1:, j] / d
@@ -75,7 +82,7 @@ def solve_flagged(B, R) -> tuple[np.ndarray, np.ndarray]:
             T[i, m:] /= T[i, i]
             T[:i, m:] -= T[:i, i, None] * T[i, None, m:]
     flagged = ~(pivots.min(axis=0) > NEAR_SINGULAR_RATIO * pivots.max(axis=0))
-    return T[:, m:].transpose(2, 0, 1).copy(), flagged
+    return T[:, m:].transpose(2, 0, 1), flagged
 
 
 def near_singular(B) -> np.ndarray:
@@ -100,11 +107,6 @@ def _cholesky(S: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite(str(exc)) from None
 
 
-def _cholesky_logdet(S: np.ndarray) -> np.ndarray:
-    """log det of each Hermitian positive definite matrix in a stack."""
-    return 2.0 * np.log(np.diagonal(_cholesky(S), axis1=-2, axis2=-1).real).sum(axis=-1)
-
-
 def cholesky(S) -> np.ndarray:
     """Lower Cholesky factor L, S = L L^H, of a symmetric (Hermitian) positive definite S.
 
@@ -118,18 +120,37 @@ def spd_logdet(S) -> float:
 
     Raises NotPositiveDefinite when the Cholesky factorization fails.
     """
-    return float(_cholesky_logdet(_as_square(S, "S")))
+    return float(2.0 * np.log(np.diagonal(_cholesky(_as_square(S, "S"))).real).sum())
 
 
 def gram_logdet(Z) -> np.ndarray:
     """log det(I + Z Z^H) for each matrix of a (k, m, n) stack.
 
-    The per-draw statistic of the samplers: one stacked Cholesky, accurate
-    while the singular values of Z stay below ~1e8.  The densities take the
-    same quantity from singular values, which holds for any finite Z.
+    The per-draw statistic of the samplers, taken over the smaller side: by
+    Sylvester's identity it is also log det(I + Z^H Z), so the s x s Gram
+    G of Z's columns (n <= m) or rows (n > m), s = min(m, n), is summed
+    over the long side one k-last (s, s, k) term at a time, in a fixed
+    order, so that the bits do not depend on Z's memory layout.  A
+    written-out LDL^H of I + G, one numpy call per step over contiguous
+    k-vectors, carries each pivot as 1 + h and sums log1p(h); at s = 1, h
+    is the squared norm of Z.  Each pivot has an absolute error of a few
+    eps |Z|^2, so the result is accurate while the singular values of Z stay
+    below ~1e8.  The densities take the same quantity from singular values,
+    which holds for any finite Z.  Raises NotPositiveDefinite when a pivot
+    is not positive, NaN included.
     """
     Z = np.asarray(Z)
-    G = Z @ np.swapaxes(Z.conj(), -1, -2)
-    diag = np.arange(Z.shape[-2])
-    G[..., diag, diag] += 1.0
-    return _cholesky_logdet(G)
+    _, m, n = Z.shape
+    W = Z.transpose(2, 1, 0) if n <= m else Z.transpose(1, 2, 0)  # (s, long side, k)
+    Wc = W.conj()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        G = W[:, None, 0] * Wc[None, :, 0]
+        for l in range(1, W.shape[1]):
+            G += W[:, None, l] * Wc[None, :, l]
+        for j in range(len(G) - 1):
+            col = G[j + 1:, j]
+            G[j + 1:, j + 1:] -= (col / (1.0 + G[j, j].real))[:, None] * col[None, :].conj()
+        h = np.diagonal(G).real  # (k, s): pivot j of I + G is 1 + h[:, j]
+        if not (h > -1.0).all():
+            raise NotPositiveDefinite("a pivot of I + Z Z^H is not positive")
+        return np.log1p(h).sum(axis=1)

@@ -58,16 +58,17 @@ EVERY_KIND = {
 
 # sha256 of the JSON and the CSV each EVERY_KIND config writes.  Any change to
 # the draws, the formatting or the schema moves them; a deliberate one updates
-# them here and says so in CHANGES.md.  Z comes from matcore.solve_flagged's
-# own elimination, but the Gram statistic still runs on BLAS and LAPACK, so a
-# different numpy or LAPACK build may move its last bits, and these digests.
+# them here and says so in CHANGES.md.  Z and the Gram statistic come from
+# matcore's written-out elimination and LDL^H, with no BLAS or LAPACK call, so
+# a different LAPACK build does not move them; a different numpy or libm (its
+# log1p, say) may still move last bits, and these digests.
 REPORT_DIGESTS = {
     "exactness": ("df7d20fdf5b2f36a332a91fff0cb57d0c236d7c2ec9f9ec68c0ba5d4d10327e6",
                   "153dde49105685870d9f147f178b8930864e57ce8e1ba7c38ed349bbaa70bebc"),
     "universality": ("9973b9e4f96e3f647712afe8d834a73363ce616bc58421dcebdbb2f6521712f5",
-                     "76688b1994d9e2913120ca196b029991f510032b75e4d520c5ee2928e8ff20af"),
+                     "1b79ae40fc212d1e1c28c9fa99253e417695d37bf802fb87fb718136bc38d4b8"),
     "complex": ("b8eab8af054b2aaba35fe098c1fa7cc3a002a17c45ac65d810392d087ff76e81",
-                "278fc8e7a3d76449cf1b37732db4d3b0837bdeb250179f689fb8ac0ed3e6abf3"),
+                "9e3479caac735f55f45b674b3f07bb5968e509849987b9b88a8a1cf814752fa5"),
     "girko": ("52bc06db20b22e0ab6bf228fc540a598958373945b08ffbdf86777b58cd8916d",
               "e04fa4ed1da9805cc6e073366f71708246085c41820cfd2cd76b8dc69a5c3765"),
     "girko-stable": ("aaa512f38817a4c032065484293bf1ba4cce9dc7efb6d2e63690ca9bc6701aea",

@@ -1,6 +1,7 @@
 """Tests for the rotationally invariant samplers."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -310,6 +311,27 @@ class TestDrawBlock:
         assert np.isfinite(one.rows).all()
         assert np.array_equal(one.rows, three.rows)
         assert one.to_json().replace('"shards": 1', '"shards": 3') == three.to_json()
+
+    def test_pooled_rows_do_not_keep_the_solutions(self):
+        # Z is a view of draw_block's (m, m + c, k) work array, and the first
+        # column is a view of Z; pooling that view would keep every block's
+        # whole work array alive until the rows are concatenated
+        work = []
+
+        def owner(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        def first_column(Z):
+            assert all(ref() is None for ref in work)
+            work.append(weakref.ref(owner(Z)))
+            return Z[:, :, 0]
+
+        sampler = en.ratio_sampler(en.EnsembleSpec(m=3, n=2))
+        rows, _ = en.draw_rows(sampler, 20260808, 0, 3 * en.BLOCK, first_column)
+        assert len(work) == 3 and rows.shape == (3 * en.BLOCK, 3)
+        assert np.array_equal(rows, block_draws(sampler, 0, 3 * en.BLOCK)[0][:, :, 0])
 
     def test_resample_limit_in_a_block(self, monkeypatch):
         monkeypatch.setattr(matcore, "NEAR_SINGULAR_RATIO", 1e12)

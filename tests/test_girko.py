@@ -213,6 +213,20 @@ def test_suites_pass_at_huge_parameters(raw):
     assert report.passed, report.failing
 
 
+@pytest.mark.parametrize("alpha", [1, 2])
+@pytest.mark.parametrize("scale", [1e-12, 1e10, 1e308])
+def test_girko_stable_results_do_not_depend_on_scale(alpha, scale):
+    # z is unchanged when every entry is scaled alike, so any scale gives the
+    # default scale's draws and entries.  Far from the default the alpha = 2
+    # quadrature once missed its grid or failed, and at 1e308 the alpha = 2
+    # draws overflowed
+    raw = {"kind": "girko-stable", "m": 2, "n": 1, "u": [0.75], "alpha": alpha, "samples": 300, "seed": 5}
+    default = cli.run(cli.parse_config(raw))
+    scaled = cli.run(cli.parse_config(dict(raw, scale=scale)))
+    assert scaled.passed, scaled.failing
+    assert scaled.entries == default.entries and np.array_equal(scaled.rows, default.rows)
+
+
 @pytest.mark.parametrize("u", [[0.75], [1e160]])
 def test_alpha2_quadrature_check_fails_a_density_one_percent_off(monkeypatch, u):
     # the densities on the grid are of order 1/beta; the residual is taken

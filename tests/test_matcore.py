@@ -1,5 +1,6 @@
 """Tests for the small dense linear algebra kernels."""
 
+import itertools
 import math
 from unittest import mock
 
@@ -252,13 +253,62 @@ def test_near_singular_is_the_single_matrix_rule(m, is_complex, kinds, ratio, se
         assert stack_flags(B, rng) == [reference_flag(b) for b in B]
 
 
+def normal_stack(rng, shape, field=float):
+    """A stack of standard normal matrices, complex ones normal in both parts."""
+    Z = rng.standard_normal(shape).astype(field)
+    if field is complex:
+        Z += 1j * rng.standard_normal(shape)
+    return Z
+
+
 class TestGramLogdet:
+    # every side is the smaller one somewhere: n > m, n < m, n = 1 and m = 1
+    CASES = list(itertools.product([(1, 1), (1, 4), (4, 1), (3, 2), (2, 5), (2, 2), (8, 4), (4, 8)],
+                                   [float, complex]))
+
+    @staticmethod
+    def stacks(rng, m, n, field):
+        """A C-order (40, m, n) stack, and solve_flagged's k-last view of another."""
+        B = normal_stack(rng, (40, m, m), field) + 2 * m * np.eye(m)  # well conditioned
+        Z, flagged = mc.solve_flagged(B, normal_stack(rng, (40, m, n), field))
+        assert not flagged.any() and Z.flags.c_contiguous == (m == 1)  # R / B at m = 1
+        return normal_stack(rng, (40, m, n), field), Z
+
     def test_matches_spd_logdet(self):
         rng = np.random.default_rng(116)
-        for shape, field in (((40, 1, 1), float), ((40, 3, 2), float), ((40, 2, 4), complex)):
-            Z = rng.standard_normal(shape).astype(field)
-            if field is complex:
-                Z += 1j * rng.standard_normal(shape)
-            got = mc.gram_logdet(Z)
-            want = [mc.spd_logdet(np.eye(shape[1]) + z @ z.conj().T) for z in Z]
-            assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+        for (m, n), field in self.CASES:
+            for Z in self.stacks(rng, m, n, field):
+                got = mc.gram_logdet(Z)
+                want = [mc.spd_logdet(np.eye(m) + z @ z.conj().T) for z in Z]
+                assert got.shape == (40,) and np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max()), (m, n)
+
+    def test_bits_do_not_depend_on_layout(self):
+        # the Gram is summed in a fixed order, so C-order and Fortran-order
+        # copies of solve_flagged's view give the view's bits
+        rng = np.random.default_rng(117)
+        for (m, n), field in self.CASES:
+            Z = self.stacks(rng, m, n, field)[1]
+            got = mc.gram_logdet(Z).tobytes()
+            for copy in (np.ascontiguousarray(Z), np.asfortranarray(Z)):
+                assert mc.gram_logdet(copy).tobytes() == got, (m, n)
+
+    def test_matches_mpmath_on_cauchy_tails(self):
+        # 40-digit log det(I + Z Z^T) of the 8 x 8 side; the 4 x 4 side's
+        # LDL^H is within 64 eps relative, which LAPACK's 8 x 8 Cholesky of
+        # I + Z Z^T (off by 7e-14 here) is not
+        mpmath = pytest.importorskip("mpmath")
+        Z = np.random.default_rng(108).standard_cauchy((128, 8, 4))
+        got = mc.gram_logdet(Z)
+        with mpmath.workdps(40):
+            want = []
+            for z in Z:
+                A = mpmath.matrix(z.tolist())
+                want.append(float(mpmath.log(mpmath.det(mpmath.eye(8) + A * A.T))))
+        assert (np.abs(got - want) <= 64 * np.finfo(float).eps * np.abs(want)).all()
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (3, 2), (2, 5)])
+    def test_nan_is_not_positive_definite(self, m, n):
+        Z = np.ones((4, m, n))
+        Z[2, -1, -1] = np.nan
+        with pytest.raises(mc.NotPositiveDefinite):
+            mc.gram_logdet(Z)

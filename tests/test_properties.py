@@ -1,8 +1,8 @@
 """Property tests of the paper's symmetries (stable CDF reflection and
-monotonicity, Z -> O Z Q invariance, the (m, n) transpose symmetry) and of
-the reproducibility contract: a block's draws depend on its generator's state
-alone, draw_rows pools one draw_block call per keyed substream,
-and the shard count changes no draw and no report byte."""
+monotonicity, Z -> O Z Q invariance, the (m, n) transpose symmetry, of the
+Gram log-det among them) and of the reproducibility contract: a block's draws
+depend on its generator's state alone, draw_rows pools one draw_block call per
+keyed substream, and the shard count changes no draw and no report byte."""
 
 import tempfile
 from pathlib import Path
@@ -66,6 +66,19 @@ def test_universal_laws_invariant_under_rotations(m, n, seed, log_scale):
     Zc = Z + 1j * 10.0**log_scale * rng.standard_normal((m, n))
     rotated = haar(rng, m, complex) @ Zc @ haar(rng, n, complex)
     assert close(de.log_universal_complex(rotated), de.log_universal_complex(Zc))
+
+
+@PROPERTY
+@given(m=st.integers(1, 8), n=st.integers(1, 8), seed=seeds, log_scale=st.floats(-3.0, 1.0), is_complex=st.booleans())
+def test_gram_logdet_is_symmetric_in_m_and_n(m, n, seed, log_scale, is_complex):
+    # log det(I + Z Z^H) = log det(I + Z^H Z): Z^H gives the same statistic,
+    # through the other side's Gram where m = n
+    rng = np.random.default_rng(seed)
+    Z = 10.0**log_scale * rng.standard_normal((16, m, n))
+    if is_complex:
+        Z = Z + 1j * 10.0**log_scale * rng.standard_normal(Z.shape)
+    got, flipped = matcore.gram_logdet(Z), matcore.gram_logdet(np.swapaxes(Z, 1, 2).conj())
+    assert (np.abs(got - flipped) <= 1e-13 * np.abs(got)).all()
 
 
 @PROPERTY
