@@ -123,7 +123,6 @@ class ExperimentConfig:
     b_columns: tuple[int, ...] | None = None
     u: tuple[float, ...] = ()
     alpha: int = 2
-    scale: float = 0.5
     samples: int = 20000
     shards: int = 1  # validated and echoed in the report; the draws do not depend on it
     out: str | None = None
@@ -132,9 +131,14 @@ class ExperimentConfig:
     max_mn: int = 12
 
     def echo(self) -> dict:
-        """The fields that shape the report, radial laws by label; out and format only say where it goes."""
-        echo = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("out", "format")}
-        echo["radial"] = [radial_label(law) for law in self.radial]
+        """The fields that shape the report: those its kind reads, radial laws by label.
+
+        out and format only say where the report goes, so they are left out.
+        """
+        echo = {name: getattr(self, name) for name, (_, kinds) in _FIELDS.items()
+                if self.kind in kinds and name not in ("out", "format")}
+        if "radial" in echo:
+            echo["radial"] = [radial_label(law) for law in self.radial]
         return echo
 
 
@@ -207,7 +211,8 @@ def _refuse_unread(raw: dict, table: dict, kind: str, who: str, prefix: str = ""
 
 
 _SAMPLED = tuple(k for k in KINDS if k != "identities")
-# Every ExperimentConfig field: its reader and the kinds that read it
+# Every ExperimentConfig field: its reader and the kinds that read it.  A kind
+# refuses every other field, and its report echoes the fields it reads
 _FIELDS = {
     "kind": (_text, KINDS),
     "seed": (as_integer, KINDS),
@@ -217,7 +222,6 @@ _FIELDS = {
     "b_columns": (_or_null(_list(as_integer)), ("universality", "exactness", "complex")),
     "u": (_list(_real), ("girko", "girko-stable")),
     "alpha": (as_integer, ("girko-stable",)),
-    "scale": (_real, ("girko-stable",)),
     "samples": (as_integer, _SAMPLED),
     "shards": (as_integer, KINDS),
     "out": (_or_null(_text), KINDS),
@@ -258,8 +262,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"u: needs {cfg.n} entries to match n, got {len(cfg.u)}")
     if cfg.alpha not in (1, 2):
         raise ConfigError(f"alpha: only 1 and 2 are supported, got {cfg.alpha}")
-    if not cfg.scale > 0:
-        raise ConfigError(f"scale: must be positive, got {cfg.scale}")
     if kind == "exactness" and cfg.n != 1:
         raise ConfigError(f"n: exactness compares components to the Cauchy law and needs n = 1, got {cfg.n}")
     if kind in ("universality", "complex") and len(cfg.radial) < 2 and (kind, cfg.m, cfg.n) != ("complex", 1, 1):
@@ -494,12 +496,8 @@ def _run_girko(cfg: ExperimentConfig, report: RunReport) -> None:
 
 
 def _run_girko_stable(cfg: ExperimentConfig, report: RunReport) -> None:
-    # z does not change when every entry is scaled alike, so the entries are
-    # drawn and the oracles integrated at the default scale whatever cfg.scale
-    # is: far from it the alpha = 2 quadrature misses, and at 1e308 the draws overflow
     law = girko.StableLaw(alpha=cfg.alpha)
     beta = girko.beta_alpha(cfg.u, cfg.alpha)
-
     [rows] = _arms(cfg, report, [girko.stable_sampler(cfg.m, cfg.n, cfg.u, law)], _first_column)
     report.columns = [f"z{i + 1}" for i in range(cfg.m)]
     if cfg.alpha == 2:

@@ -70,14 +70,13 @@ def sphere_area(d: int) -> float:
     return math.exp(math.log(2.0) + 0.5 * d * LOG_PI - math.lgamma(0.5 * d))
 
 
-@lru_cache(maxsize=None)
 def log_universal_real_norm(m: int, n: int) -> float:
-    """log of the constant normalizing det(1 + Z Z^T)^{-(m+n)/2}."""
-    terms = [-0.5 * m * n * LOG_PI]
-    for j in range(1, n + 1):
-        terms.append(math.lgamma(0.5 * (m + j)))
-        terms.append(-math.lgamma(0.5 * j))
-    return math.fsum(terms)
+    """log of the constant normalizing det(1 + Z Z^T)^{-(m+n)/2}.
+
+    The universal law is the matrix t member (0, I, I, 1), so this is the
+    matrix t constant at q = 1.
+    """
+    return _log_matrix_t_norm(m, n, 1.0)
 
 
 @lru_cache(maxsize=None)

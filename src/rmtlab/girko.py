@@ -61,37 +61,34 @@ class LinearSystemSpec:
 
 @dataclass(frozen=True)
 class StableLaw:
-    """Symmetric stable law with characteristic function exp(-c |t|^alpha).
+    """Symmetric stable law with characteristic function exp(-|t|^alpha / 2).
 
     Only the closed-form members are accepted: alpha = 2 is the normal law
-    of variance 2c and alpha = 1 the Cauchy law of scale c.  The default
-    scale c = 1/2 makes the alpha = 2 entries unit variance.
+    of unit variance and alpha = 1 the Cauchy law of scale 1/2.  The
+    solution z of B z = b - X u does not change when every entry is scaled
+    alike, so one scale serves every solution law.
     """
 
     alpha: int
-    c: float = 0.5
 
     def __post_init__(self):
         if self.alpha not in (1, 2):
             raise ValueError(f"only alpha in {{1, 2}} has a closed-form density, got {self.alpha}")
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ValueError(f"scale must be finite and positive, got {self.c}")
 
     def pdf(self, x: float) -> float:
         if self.alpha == 2:
-            var = 2.0 * self.c
-            return math.exp(-x * x / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
-        return self.c / (math.pi * (x * x + self.c * self.c))
+            return math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
+        return 0.5 / (math.pi * (x * x + 0.25))
 
     def cdf(self, x: float) -> float:
         if self.alpha == 2:
-            return 0.5 * math.erfc(-x / math.sqrt(4.0 * self.c))
-        return 0.5 + math.atan2(x, self.c) / math.pi
+            return 0.5 * math.erfc(-x / math.sqrt(2.0))
+        return 0.5 + math.atan2(x, 0.5) / math.pi
 
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:
         if self.alpha == 2:
-            return rng.standard_normal(size) * math.sqrt(2.0 * self.c)
-        return self.c * np.tan(math.pi * (rng.random(size) - 0.5))
+            return rng.standard_normal(size)
+        return 0.5 * np.tan(math.pi * (rng.random(size) - 0.5))
 
 
 def beta_euclidean(u) -> float:
@@ -154,12 +151,14 @@ def solution_sampler(spec: LinearSystemSpec) -> Callable:
 
 
 def stable_sampler(m: int, n: int, u, law: StableLaw) -> Callable:
-    """The sampler of systems B z = b - X u whose entries of A and b are i.i.d. from law."""
-    u = ensembles.as_reals(u, "u").ravel()
-    if u.size != n:
-        raise ValueError(f"u has {u.size} entries, expected n = {n}")
-    split = _system_split(m, n, u)
-    return lambda rng, k: split(law.sample((k, m * (m + n + 1)), rng))
+    """The sampler of systems B z = b - X u whose entries of A and b are i.i.d. from law.
+
+    m, n and u are checked as LinearSystemSpec checks them.
+    """
+    spec = LinearSystemSpec(m, n, u)
+    d = spec.m * (spec.m + spec.n + 1)
+    split = _system_split(spec.m, spec.n, spec.u)
+    return lambda rng, k: split(law.sample((k, d), rng))
 
 
 def sample_stable_system(m: int, n: int, u, law: StableLaw, rng: np.random.Generator) -> tuple[np.ndarray, int]:
@@ -292,8 +291,8 @@ def girko_stable_cdf(zeta, law: StableLaw, beta: float):
 
     zeta may be a scalar (a float is returned) or an array (an array of the
     same shape is returned).  At alpha = 2 the component is Cauchy of width
-    beta.  At alpha = 1, substituting r = c t in CDF(zeta) =
-    2 int_0^inf rho(r) F(r zeta / beta) dr gives, for any scale c,
+    beta.  At alpha = 1, substituting r = t / 2 in CDF(zeta) =
+    2 int_0^inf rho(r) F(r zeta / beta) dr gives
     CDF(zeta) = 1/2 + (2/pi^2) sgn(k) I(|k|) with k = zeta / beta and
     I(k) = int_0^inf arctan(k t) / (1 + t^2) dt, which is exact in chi_2
     for k <= 1 and follows from I(k) = pi^2/4 - I(1/k) for k > 1.

@@ -7,9 +7,9 @@ small systems on an (m, m + c, k) copy, flags each by the near-singularity
 rule on its pivot magnitudes, back-substitutes the pivot rows into
 Z = B^-1 R and returns Z as a view of that copy.  gram_logdet reads such a
 Z and takes log det(I + Z Z^H) by an LDL^H of the Gram of its smaller side.
-near_singular is solve_flagged's flags alone.  The public solve_multi,
-spd_logdet and cholesky go to numpy's LAPACK.  Determinants are only ever
-formed in the log domain.
+With c = 0 right-hand sides, solve_flagged gives the flags alone.  The
+public solve_multi, spd_logdet and cholesky go to numpy's LAPACK.
+Determinants are only ever formed in the log domain.
 """
 
 from __future__ import annotations
@@ -83,12 +83,6 @@ def solve_flagged(B, R) -> tuple[np.ndarray, np.ndarray]:
             T[:i, m:] -= T[:i, i, None] * T[i, None, m:]
     flagged = ~(pivots.min(axis=0) > NEAR_SINGULAR_RATIO * pivots.max(axis=0))
     return T[:, m:].transpose(2, 0, 1), flagged
-
-
-def near_singular(B) -> np.ndarray:
-    """Flag each matrix of a (k, m, m) stack by solve_flagged's pivot-ratio rule."""
-    B = np.asarray(B)
-    return solve_flagged(B, np.empty((*B.shape[:2], 0), B.dtype))[1]
 
 
 def solve_multi(B, X) -> np.ndarray:

@@ -43,6 +43,16 @@ class TestUniversalReal:
         for m, n in [(1, 1), (2, 3), (4, 2)]:
             assert de.log_universal_real(np.zeros((m, n))) == de.log_universal_real_norm(m, n)
 
+    def test_norm_is_the_matrix_t_norm_at_q1(self):
+        # the universal law's own sum, log Gamma((m + j)/2) - log Gamma(j/2) over j,
+        # holds the matrix t terms at q = 1, and fsum rounds each exact sum once
+        for m in range(1, 65):
+            for n in range(1, 65):
+                terms = [-0.5 * m * n * de.LOG_PI]
+                for j in range(1, n + 1):
+                    terms += [math.lgamma(0.5 * (m + j)), -math.lgamma(0.5 * j)]
+                assert de.log_universal_real_norm(m, n) == math.fsum(terms) == de._log_matrix_t_norm(m, n, 1.0)
+
     def test_normalization_by_quadrature(self):
         # (1,1): density over the line; (2,1): polar quadrature over the plane
         val = polar_integral(lambda r: 0.5 * (

@@ -292,10 +292,10 @@ class TestDrawBlock:
         assert en.draw_block(sampler, gen(44), en.BLOCK)[0].tobytes() == Z.tobytes()
         # replay the rounds: each redraw replaces the rows still flagged
         B, R = (a.copy() for a in drawn[0])
-        redrawn = rows = np.flatnonzero(matcore.near_singular(B))
+        redrawn = rows = np.flatnonzero(matcore.solve_flagged(B, R)[1])
         for B_again, R_again in drawn[1:]:
             B[rows], R[rows] = B_again, R_again
-            rows = rows[matcore.near_singular(B_again)]
+            rows = rows[matcore.solve_flagged(B_again, R_again)[1]]
         assert rows.size == 0 and len(drawn) > 2 and rej == sum(len(b) for b, _ in drawn[1:])
         # every row's Z solves its own final system, not the draw it replaced
         assert np.abs(B @ Z - R).max() <= 1e-10 * np.abs(B).max() * np.abs(Z).max()

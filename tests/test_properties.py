@@ -1,6 +1,6 @@
 """Property tests of the paper's symmetries (stable CDF reflection and
 monotonicity, Z -> O Z Q invariance, the (m, n) transpose symmetry, of the
-Gram log-det among them) and of the reproducibility contract: a block's draws
+Gram log-det among them, and the solve's invariance under a common scale) and of the reproducibility contract: a block's draws
 depend on its generator's state alone, draw_rows pools one draw_block call per
 keyed substream, and the shard count changes no draw and no report byte."""
 
@@ -79,6 +79,20 @@ def test_gram_logdet_is_symmetric_in_m_and_n(m, n, seed, log_scale, is_complex):
         Z = Z + 1j * 10.0**log_scale * rng.standard_normal(Z.shape)
     got, flipped = matcore.gram_logdet(Z), matcore.gram_logdet(np.swapaxes(Z, 1, 2).conj())
     assert (np.abs(got - flipped) <= 1e-13 * np.abs(got)).all()
+
+
+@PROPERTY
+@given(m=st.integers(1, 8), e=st.integers(-400, 400), seed=seeds, is_complex=st.booleans())
+def test_solve_is_scale_free(m, e, seed, is_complex):
+    # scaling B and R alike by 2^e is exact and leaves every multiplier, every
+    # pivot ratio and Z unchanged, so the stable entries need no scale of their own
+    rng = np.random.default_rng(seed)
+    B, R = rng.standard_normal((16, m, m)), rng.standard_normal((16, m, 2))
+    if is_complex:
+        B, R = B + 1j * rng.standard_normal(B.shape), R + 1j * rng.standard_normal(R.shape)
+    Z, flags = matcore.solve_flagged(B, R)
+    scaled_Z, scaled_flags = matcore.solve_flagged(2.0**e * B, 2.0**e * R)
+    assert scaled_Z.tobytes() == Z.tobytes() and scaled_flags.tobytes() == flags.tobytes()
 
 
 @PROPERTY
