@@ -4,11 +4,12 @@ Experiments are described by a flat JSON config (kind, dimensions, radial
 laws, sample count, seed, ...).  Every sampled suite pools its draws
 through _arms, one arm per sampler in order: arm a is ensembles.draw_rows on
 stream a, which draws block b of BLOCK systems from the substream keyed by
-(seed, a << 32 | b) in one draw_block call and reduces it to report rows, so
-the pooled sample is bit-identical for a given seed whatever the shard
-count in the config.  exactness and girko-stable pool one arm; the suites
-that compare radial laws (universality and complex, one suite for both
-fields, and girko) pool one arm per law and compare every pair of arms
+(seed, a << 32 | b), solves and reduces consecutive blocks to report rows in
+cache-sized groups, and redraws each block's rejected systems from its own
+substream, so the pooled sample is bit-identical for a given seed whatever
+the shard count in the config.  exactness and girko-stable pool one arm;
+the suites that compare radial laws (universality and complex, one suite for
+both fields, and girko) pool one arm per law and compare every pair of arms
 through _pairs.  Every sampled suite passes each of its KS tests at
 significance over their count through _check.  A report keeps its rows as
 one 2-D array, one row per draw, with one (law label, row count) run per arm

@@ -15,9 +15,12 @@ entries, and a bimodal two-shell mixture.
 A sampler is a function (rng, k) -> (B, R) that draws k linear systems
 B Z = R as stacks; draw_block draws, rejects, redraws and solves one block
 of them.  draw_rows pools any number of draws as blocks of BLOCK, block b of
-stream s from the Philox substream (seed, s << 32 | b): it is the one place
-that keys blocks to substreams.  ratio_sampler splits ensemble draws A into
-(B, X).
+stream s drawn from the Philox substream (seed, s << 32 | b): it is the one
+place that keys blocks to substreams.  It solves the blocks of a stream in
+cache-sized groups, one elimination and one statistic call per group, and
+redraws each block's flagged systems from that block's own substream, so a
+row depends on its block alone.  ratio_sampler splits ensemble draws A into
+(B, X), each draw scaled by a power of two that changes no Z.
 """
 
 from __future__ import annotations
@@ -32,10 +35,15 @@ import numpy as np
 from . import matcore
 
 _MASK64 = (1 << 64) - 1
-# Draws per substream block and per draw_block call in draw_rows: long enough
-# to amortise numpy's per-call overhead and a new Philox, fixed so that pooled
-# draws never depend on sharding and a call's memory does not grow with samples.
+# Draws per substream block in draw_rows: long enough to amortise a new
+# Philox and the sampler's per-call overhead, fixed so that pooled draws
+# depend on the seed and stream alone.
 BLOCK = 512
+# Most bytes of B and R stacks that draw_rows gathers from consecutive blocks
+# into one elimination: small blocks share numpy's per-call cost, while one
+# group's work arrays stay cache-sized and its memory does not grow with the
+# number of draws.  A group holds at least one block, whatever its size.
+GROUP_BYTES = 256 * 1024
 # Times in a row one draw may be flagged near-singular before draw_block gives up
 MAX_REJECTS = 100
 
@@ -218,14 +226,28 @@ def sample_radial_rows(law: RadialLaw, d: int, rng: np.random.Generator, k: int)
     are scaled to those radii.  Returns the (k, d) array.  A normal row of
     zeros (probability zero) comes out as NaN, which draw_block rejects.
     """
+    return _radial_rows(law, d, rng, k, mantissa=False)
+
+
+def _radial_rows(law: RadialLaw, d: int, rng: np.random.Generator, k: int, mantissa: bool) -> np.ndarray:
+    """sample_radial_rows, each row scaled to its radius's mantissa, np.frexp(r)[0], when mantissa is set.
+
+    Then each row differs from the true draw by an exact power of two, which
+    changes no solution B^-1 R, and the rows stay inside the float range at
+    any radius: near 1.7e308 the elimination would overflow, and near 1e-320
+    the entries would be subnormal with few significant bits.  The generator
+    makes the same calls either way.
+    """
     r = sample_radius(law, d, rng, size=k)
+    if mantissa:
+        r = np.frexp(r)[0]
     V = rng.standard_normal((k, d))
     V *= (r / np.sqrt(np.einsum("ij,ij->i", V, V)))[:, None]
     return V
 
 
-def _matrices(spec: EnsembleSpec, rng: np.random.Generator, k: int) -> np.ndarray:
-    V = sample_radial_rows(spec.radial, spec.dim, rng, k)
+def _matrices(spec: EnsembleSpec, rng: np.random.Generator, k: int, mantissa: bool = False) -> np.ndarray:
+    V = _radial_rows(spec.radial, spec.dim, rng, k, mantissa)
     if spec.field == "complex":
         V = V.view(np.complex128)  # consecutive coordinates are (re, im) pairs
     return V.reshape(k, spec.m, spec.m + spec.n)
@@ -279,6 +301,11 @@ def draw_block(sampler: Callable, rng: np.random.Generator, k: int) -> tuple[np.
     MAX_REJECTS times in a row.  Z = B^-1 R has shape (k, m, c).
     """
     Z, flagged = matcore.solve_flagged(*sampler(rng, k))
+    return Z, _redraw(sampler, rng, Z, flagged)
+
+
+def _redraw(sampler: Callable, rng: np.random.Generator, Z: np.ndarray, flagged: np.ndarray) -> int:
+    """Redraw the flagged systems of Z from rng and solve them into Z, until none is flagged: the rejections."""
     rows = np.flatnonzero(flagged)
     rejects = streak = 0  # every row still flagged has been flagged in each round so far
     while rows.size:
@@ -288,40 +315,80 @@ def draw_block(sampler: Callable, rng: np.random.Generator, k: int) -> tuple[np.
             raise ResampleLimit(f"{streak} consecutive near-singular draws")
         Z[rows], again = matcore.solve_flagged(*sampler(rng, rows.size))
         rows = rows[again]
-    return Z, rejects
+    return rejects
+
+
+def _solve_group(sampler: Callable, group: list, row_of: Callable) -> tuple[np.ndarray, int]:
+    """Solve a group of drawn blocks [(rng, B, R), ...] in one elimination: (row_of's rows, copied; rejections).
+
+    Each block's flagged systems are then redrawn from its own rng, in block
+    order, as draw_block redraws them.  The solve and the statistic work
+    system by system, so a row's bits do not depend on the group.
+    """
+    if len(group) == 1:
+        _, B, R = group[0]
+    else:
+        B = np.concatenate([B for _, B, _ in group])
+        R = np.concatenate([R for _, _, R in group])
+    Z, flagged = matcore.solve_flagged(B, R)
+    rejected = first = 0
+    for rng, block, _ in group:
+        last = first + len(block)
+        rejected += _redraw(sampler, rng, Z[first:last], flagged[first:last])
+        first = last
+    return np.array(row_of(Z)), rejected
 
 
 def draw_rows(sampler: Callable, seed: int, stream: int, n: int, row_of: Callable) -> tuple[np.ndarray, int]:
     """Stack row_of(Z) over n systems drawn by sampler and solved: (rows, rejections).
 
-    Block b holds draws b * BLOCK onwards, at most BLOCK of them, and draws
-    them in one draw_block call from a new generator on the substream
-    (seed, stream << 32 | b), so the rows depend on (seed, stream) alone.
-    row_of maps a block's (k, m, c) solution stack to its k rows, so only
-    the rows, never all solutions, are pooled: each block's rows are copied,
-    since the solutions are a view of draw_block's larger work array and a
-    row_of that returns a view of them would keep that array alive.  The
-    rejections of all blocks are summed.
+    Block b holds draws b * BLOCK onwards, at most BLOCK of them, drawn in
+    one sampler call from a new generator on the substream
+    (seed, stream << 32 | b), and its flagged systems are redrawn from that
+    generator as draw_block redraws them, so the rows depend on
+    (seed, stream) alone and are those of one draw_block call per block.
+    Consecutive blocks are gathered into a group until the next would take
+    its B and R stacks past GROUP_BYTES; one matcore.solve_flagged call
+    solves a group and one row_of call maps its (k, m, c) solution stack to
+    its k rows, so only the rows, never all solutions, are pooled.  Each
+    group's rows are copied, since the solutions are a view of the larger
+    work array and a row_of that returns a view of them would keep it alive.
+    The rejections of all blocks are summed.  Raises ValueError for n < 1.
     """
-    rows = []
-    rejected = 0
+    n = as_integer(n, "n")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    rows, group = [], []
+    rejected = held = 0
     for b, first in enumerate(range(0, n, BLOCK)):
         rng = RngStream(seed, (stream << 32) | b).generator()
-        Z, rej = draw_block(sampler, rng, min(BLOCK, n - first))
-        rows.append(np.array(row_of(Z)))
-        rejected += rej
+        k = min(BLOCK, n - first)
+        B, R = sampler(rng, k)
+        group.append((rng, B, R))
+        held += B.nbytes + R.nbytes
+        # every system of a stream takes the same bytes, so the next block's are known before it is drawn
+        following = min(BLOCK, n - first - k)
+        if not following or held + following * (B.nbytes + R.nbytes) // k > GROUP_BYTES:
+            group_rows, rej = _solve_group(sampler, group, row_of)
+            rows.append(group_rows)
+            rejected += rej
+            group, held = [], 0
     return np.concatenate(rows), rejected
 
 
 def ratio_sampler(spec: EnsembleSpec, p: PartitionSpec | None = None) -> Callable:
     """The sampler (rng, k) -> (B, X) of k ensemble draws A split by p, for draw_block.
 
-    p defaults to the leading m columns; raises BadPartition for a bad p.
+    Each draw is A scaled to the mantissa of its radius, so it differs from
+    the A that sample_matrix draws from the same generator state by an exact
+    power of two: Z = B^-1 X is the same, and the elimination neither
+    overflows nor loses bits to subnormals at any radius.  p defaults to the
+    leading m columns; raises BadPartition for a bad p.
     """
     if p is None:
         p = PartitionSpec.leading(spec.m)
     _partition_indices(p.b_columns, spec.m, spec.m + spec.n)
-    return lambda rng, k: partition(_matrices(spec, rng, k), p)
+    return lambda rng, k: partition(_matrices(spec, rng, k, mantissa=True), p)
 
 
 def sample_z(spec: EnsembleSpec, p: PartitionSpec | None, rng: np.random.Generator) -> tuple[np.ndarray, int]:

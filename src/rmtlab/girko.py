@@ -143,11 +143,14 @@ def solution_sampler(spec: LinearSystemSpec) -> Callable:
     """The sampler (rng, k) -> (B, b - X u) of systems B z = b - X u, for draw_block.
 
     The flat (A, b) is radius times a uniform direction in dimension
-    m(m+n+1), so the radial law applies to tr A^T A + b^T b.
+    m(m+n+1), so the radial law applies to tr A^T A + b^T b.  Each system
+    is drawn scaled to the mantissa of its radius, an exact power of two
+    away from the true (A, b), which changes no solution z and keeps the
+    elimination inside the float range at any radius.
     """
     d = spec.m * (spec.m + spec.n + 1)
     split = _system_split(spec.m, spec.n, spec.u)
-    return lambda rng, k: split(ensembles.sample_radial_rows(spec.radial, d, rng, k))
+    return lambda rng, k: split(ensembles._radial_rows(spec.radial, d, rng, k, mantissa=True))
 
 
 def stable_sampler(m: int, n: int, u, law: StableLaw) -> Callable:

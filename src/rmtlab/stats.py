@@ -93,10 +93,17 @@ def ks_two_sample(a, b, threshold: float = 1e-3) -> KsReport:
     n1, n2 = xa.size, xb.size
     if min(n1, n2) < MIN_SAMPLES:
         raise TooFewSamples(f"need at least {MIN_SAMPLES} samples per side")
+    # one stable merge of the two sorted samples: after the last of a run of
+    # equal values, the counts so far are each sample's count <= that value,
+    # as searchsorted(side="right") counts them; NaN sorts last and equals NaN
     merged = np.concatenate([xa, xb])
-    cdf_a = np.searchsorted(xa, merged, side="right") / n1
-    cdf_b = np.searchsorted(xb, merged, side="right") / n2
-    d = float(np.max(np.abs(cdf_a - cdf_b)))
+    order = np.argsort(merged, kind="stable")
+    merged = merged[order]
+    from_a = np.cumsum(order < n1)
+    from_b = np.arange(1, n1 + n2 + 1) - from_a
+    last = np.ones(n1 + n2, dtype=bool)
+    last[:-1] = (merged[1:] != merged[:-1]) & ~np.isnan(merged[:-1])
+    d = float(np.max(np.abs(from_a[last] / n1 - from_b[last] / n2)))
     n_eff = n1 * n2 / (n1 + n2)
     p = _ks_pvalue(d, n_eff)
     return KsReport(statistic=d, n=n1, n2=n2, p_value=p, threshold=threshold, passed=p > threshold)

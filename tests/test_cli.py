@@ -405,6 +405,21 @@ class TestSuites:
         assert len(residuals) == (overrides.get("alpha") == 2)
         assert len(report.entries) == n_ks + len(residuals)
 
+    @pytest.mark.parametrize("radius", ["1.7e308", "1e-320"])
+    @pytest.mark.parametrize("overrides", [
+        {"kind": "universality", "m": 8, "n": 4},
+        {"kind": "complex", "m": 2, "n": 2},
+        {"kind": "girko", "m": 3, "n": 2, "u": [0.5, -1.0]},
+        {"kind": "exactness", "m": 3},
+    ])
+    def test_any_radius_passes(self, overrides, radius):
+        # near 1.7e308 the true draws overflow the elimination, and near 1e-320
+        # their entries are subnormal; the samplers draw them scaled to the mantissa
+        radial = [f"shell:{radius}"] if overrides["kind"] == "exactness" else ["gaussian", f"shell:{radius}"]
+        report = cli.run(cli.parse_config(small_config(seed=3, samples=600, radial=radial, **overrides)))
+        assert report.passed, [e for e in report.entries if not e["passed"]]
+        assert report.resamples == 0 and np.isfinite(report.rows[:, -1].astype(float)).all()
+
     def test_suite_error_lands_in_report(self):
         cfg = cli.parse_config(small_config())
         cfg.radial = ()  # break it after validation

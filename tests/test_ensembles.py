@@ -21,6 +21,36 @@ def block_draws(sampler, stream, count, seed=20260808):
     return en.draw_rows(sampler, seed, stream, count, lambda Z: Z)
 
 
+def per_block_rows(sampler, stream, count, row_of, seed=20260808):
+    """count rows pooled with one draw_block call per substream block of (seed, stream): (rows, rejections)."""
+    rows, rejected = [], 0
+    for b, first in enumerate(range(0, count, en.BLOCK)):
+        Z, rej = en.draw_block(sampler, gen((stream << 32) | b, seed), min(en.BLOCK, count - first))
+        rows.append(row_of(Z))
+        rejected += rej
+    return np.concatenate(rows), rejected
+
+
+def statistic_rows(Z):
+    """The Gram log-det statistic next to every solution entry, one row per draw."""
+    return np.column_stack([matcore.gram_logdet(Z), Z.reshape(len(Z), -1)])
+
+
+def block_sizes(count):
+    """The systems in each substream block of count draws."""
+    return [min(en.BLOCK, count - first) for first in range(0, count, en.BLOCK)]
+
+
+def group_sizes(system_bytes, count):
+    """The systems in each group that draw_rows solves in one elimination, at system_bytes of B and R a system."""
+    groups = [0]
+    for k in block_sizes(count):
+        if groups[-1] and (groups[-1] + k) * system_bytes > en.GROUP_BYTES:
+            groups.append(0)
+        groups[-1] += k
+    return groups
+
+
 def parent_draws(spec, g, count):
     """count parent matrices (count, m, m + n) drawn from g as the block sampler draws them, BLOCK at a time."""
     return np.concatenate([en._matrices(spec, g, min(en.BLOCK, count - i)) for i in range(0, count, en.BLOCK)])
@@ -313,8 +343,8 @@ class TestDrawBlock:
         assert one.to_json().replace('"shards": 1', '"shards": 3') == three.to_json()
 
     def test_pooled_rows_do_not_keep_the_solutions(self):
-        # Z is a view of draw_block's (m, m + c, k) work array, and the first
-        # column is a view of Z; pooling that view would keep every block's
+        # Z is a view of a group's (m, m + c, k) work array, and the first
+        # column is a view of Z; pooling that view would keep every group's
         # whole work array alive until the rows are concatenated
         work = []
 
@@ -328,16 +358,92 @@ class TestDrawBlock:
             work.append(weakref.ref(owner(Z)))
             return Z[:, :, 0]
 
+        # (3, 2): 72 + 48 bytes a system, so four blocks to a group, and 12 blocks make three groups
         sampler = en.ratio_sampler(en.EnsembleSpec(m=3, n=2))
-        rows, _ = en.draw_rows(sampler, 20260808, 0, 3 * en.BLOCK, first_column)
-        assert len(work) == 3 and rows.shape == (3 * en.BLOCK, 3)
-        assert np.array_equal(rows, block_draws(sampler, 0, 3 * en.BLOCK)[0][:, :, 0])
+        n = 12 * en.BLOCK
+        rows, _ = en.draw_rows(sampler, 20260808, 0, n, first_column)
+        assert len(work) == len(group_sizes(120, n)) == 3 and rows.shape == (n, 3)
+        assert np.array_equal(rows, per_block_rows(sampler, 0, n, lambda Z: Z[:, :, 0])[0])
 
     def test_resample_limit_in_a_block(self, monkeypatch):
         monkeypatch.setattr(matcore, "NEAR_SINGULAR_RATIO", 1e12)
         monkeypatch.setattr(en, "MAX_REJECTS", 5)
         with pytest.raises(en.ResampleLimit, match="^5 consecutive"):
             en.draw_block(en.ratio_sampler(en.EnsembleSpec(m=2, n=1)), gen(46), en.BLOCK)
+
+
+class TestDrawRowsGroups:
+    """draw_rows solves consecutive substream blocks in groups, with the rows of one draw_block call per block."""
+
+    SHAPES = {  # sampler and bytes of B and R a system
+        "real (1, 1)": (en.ratio_sampler(en.EnsembleSpec(m=1, n=1)), 16),
+        "real (2, 2)": (en.ratio_sampler(en.EnsembleSpec(m=2, n=2)), 64),
+        "real (3, 1)": (en.ratio_sampler(en.EnsembleSpec(m=3, n=1)), 96),
+        "girko (2, 1)": (girko.solution_sampler(girko.LinearSystemSpec(2, 1, (0.75,))), 48),
+        "stable (2, 1)": (girko.stable_sampler(2, 1, (0.75,), girko.StableLaw(alpha=1)), 48),
+        "real (8, 4)": (en.ratio_sampler(en.EnsembleSpec(m=8, n=4)), 768),
+        "complex (4, 2)": (en.ratio_sampler(en.EnsembleSpec(m=4, n=2, field="complex")), 384),
+    }
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Count the solve_flagged calls of the first pass of each group, by their size."""
+        sizes = []
+        solve = matcore.solve_flagged
+
+        def counting(B, R):
+            sizes.append(len(B))
+            return solve(B, R)
+
+        monkeypatch.setattr(matcore, "solve_flagged", counting)
+        return sizes
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("n", [1, 3 * en.BLOCK, 9 * en.BLOCK + 7])
+    def test_groups_give_the_rows_of_one_draw_block_per_block(self, monkeypatch, shape, n):
+        sampler, system_bytes = self.SHAPES[shape]
+        want, want_rejected = per_block_rows(sampler, 5, n, statistic_rows)
+        sizes = self.counted(monkeypatch)
+        rows, rejected = en.draw_rows(sampler, 20260808, 5, n, statistic_rows)
+        assert rows.tobytes() == want.tobytes() and rejected == want_rejected == 0
+        assert sizes == group_sizes(system_bytes, n)
+
+    def test_wide_blocks_are_solved_alone(self):
+        # over half of GROUP_BYTES a block, so a group holds one block and one more is never gathered
+        assert group_sizes(768, 3 * en.BLOCK + 1) == [en.BLOCK] * 3 + [1]
+        assert group_sizes(384, 3 * en.BLOCK) == [en.BLOCK] * 3
+        assert group_sizes(64, 9 * en.BLOCK + 7) == [8 * en.BLOCK, en.BLOCK + 7]
+
+    @pytest.mark.parametrize("shape", ["real (2, 2)", "girko (2, 1)", "stable (2, 1)"])
+    def test_forced_rejections_in_several_blocks_of_a_group(self, monkeypatch, shape):
+        # at ratio 0.3 about half of the 2 x 2 systems are redrawn, in several rounds,
+        # each from its own block's substream after the group's one elimination
+        monkeypatch.setattr(matcore, "NEAR_SINGULAR_RATIO", 0.3)
+        sampler, system_bytes = self.SHAPES[shape]
+        n = 3 * en.BLOCK + 100
+        per_block = [en.draw_block(sampler, gen((6 << 32) | b), k)[1]
+                     for b, k in enumerate(block_sizes(n))]
+        assert len(group_sizes(system_bytes, n)) == 1 and all(rej > 0 for rej in per_block)
+        want, want_rejected = per_block_rows(sampler, 6, n, statistic_rows)
+        rows, rejected = en.draw_rows(sampler, 20260808, 6, n, statistic_rows)
+        assert rows.tobytes() == want.tobytes() and rejected == want_rejected == sum(per_block)
+        assert np.isfinite(rows).all()
+
+    def test_resample_limit_in_a_group(self, monkeypatch):
+        monkeypatch.setattr(matcore, "NEAR_SINGULAR_RATIO", 1e12)
+        monkeypatch.setattr(en, "MAX_REJECTS", 5)
+        with pytest.raises(en.ResampleLimit, match="^5 consecutive near-singular draws$"):
+            en.draw_rows(en.ratio_sampler(en.EnsembleSpec(m=2, n=1)), 20260808, 0, 3 * en.BLOCK, cli._first_column)
+
+    @pytest.mark.parametrize("n", [0, -3, True, 2.5, "2", None])
+    def test_count_checked(self, n):
+        with pytest.raises(ValueError, match="^n: |^n must be"):
+            en.draw_rows(en.ratio_sampler(en.EnsembleSpec(m=2, n=1)), 20260808, 0, n, cli._first_column)
+
+    def test_integral_count_accepted(self):
+        sampler = en.ratio_sampler(en.EnsembleSpec(m=2, n=1))
+        rows, _ = en.draw_rows(sampler, 20260808, 0, 600.0, cli._first_column)
+        assert rows.tobytes() == en.draw_rows(sampler, 20260808, 0, 600, cli._first_column)[0].tobytes()
 
 
 class TestScaleAndPartitionInvariance:
@@ -391,18 +497,40 @@ class TestReproducibility:
 class TestSampleSystem:
     """The (B, R) stacks of the joint (A, b) sampler, girko.solution_sampler."""
 
+    @staticmethod
+    def up_to_powers_of_two(true, B, R):
+        """True when each flat (B, R) row times one power of two is the row of true, bit for bit."""
+        stacks = np.concatenate([B.reshape(len(B), -1), R.reshape(len(R), -1)], axis=1)
+        scale = true[:, :1] / stacks[:, :1]
+        return bool((np.frexp(scale)[0] == 0.5).all() and np.array_equal(true, scale * stacks))
+
     def test_fixed_shell_joint_norm(self):
-        # at n = 0, A is B and R is b, so the stacks hold the whole (A, b)
+        # at n = 0, A is B and R is b, so the stacks hold the whole (A, b) up to a
+        # power of two a row; the true rows are drawn from the same generator state
         spec = girko.LinearSystemSpec(2, 0, (), radial=en.FixedShell(1.0))
         B, R = girko.solution_sampler(spec)(gen(24), 100)
-        assert np.abs(np.sum(B * B, axis=(1, 2)) + np.sum(R * R, axis=(1, 2)) - 1.0).max() < 1e-12
+        true = en.sample_radial_rows(spec.radial, 6, gen(24), 100)
+        assert self.up_to_powers_of_two(true, B, R)
+        assert np.abs(np.sum(true * true, axis=1) - 1.0).max() < 1e-12
 
     def test_gaussian_entries(self):
-        # B = A[0, 0] and R = b - A[0, 1], with variance 2, from i.i.d. standard normal entries
+        # B = A[0, 0] and R = b - A[0, 1], with variance 2, from i.i.d. standard normal
+        # entries, up to a power of two a row
         B, R = girko.solution_sampler(girko.LinearSystemSpec(1, 1, (1.0,)))(gen(25), 5000)
-        scalars = np.concatenate([B.ravel(), R.ravel() / math.sqrt(2.0)])
+        A00, A01, b = en.sample_radial_rows(en.GaussianEntries(), 3, gen(25), 5000).T
+        true = np.column_stack([A00, b - A01])
+        assert self.up_to_powers_of_two(true, B, R)
+        scalars = np.concatenate([true[:, 0], true[:, 1] / math.sqrt(2.0)])
         rep = stats.ks_one_sample(scalars, lambda x: 0.5 * erfc(-x / math.sqrt(2.0)))
         assert rep.p_value > 1e-3
+
+    @pytest.mark.parametrize("radius", [1.7e308, 1e-320])
+    def test_any_radius_gives_the_mantissa_norm(self, radius):
+        # the true (A, b) would overflow the elimination, or hold subnormal entries
+        spec = girko.LinearSystemSpec(3, 0, (), radial=en.FixedShell(radius))
+        B, R = girko.solution_sampler(spec)(gen(27), 100)
+        squares = np.sum(B * B, axis=(1, 2)) + np.sum(R * R, axis=(1, 2))
+        assert np.abs(squares - np.frexp(radius)[0] ** 2).max() < 1e-12
 
     def test_n_zero_shapes(self):
         B, R = girko.solution_sampler(girko.LinearSystemSpec(3, 0))(gen(26), 1)

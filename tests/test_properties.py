@@ -1,22 +1,26 @@
 """Property tests of the paper's symmetries (stable CDF reflection and
 monotonicity, Z -> O Z Q invariance, the (m, n) transpose symmetry, of the
-Gram log-det among them, and the solve's invariance under a common scale) and of the reproducibility contract: a block's draws
-depend on its generator's state alone, draw_rows pools one draw_block call per
-keyed substream, and the shard count changes no draw and no report byte."""
+Gram log-det among them, and the solve's invariance under a common scale,
+so that a power of two in a shell's radius changes no draw) and of the
+reproducibility contract: a block's draws depend on its generator's state
+alone, draw_rows pools the rows of one draw_block call per keyed substream,
+and the shard count changes no draw and no report byte.  The two-sample KS
+statistic's merge gives the searchsorted statistic bit for bit."""
 
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rmtlab import cli
 from rmtlab import densities as de
 from rmtlab import ensembles as en
-from rmtlab import girko, matcore
+from rmtlab import girko, matcore, stats
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -202,6 +206,52 @@ def test_pooled_rows_are_one_draw_block_per_substream(kind, m, n, law, alpha, sa
         want, want_rejected = per_block_rows(seed, samples, arm, sampler, statistic_rows)
     assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
     assert rejected == want_rejected
+
+
+@settings(PROPERTY, max_examples=20)
+@given(
+    kind=st.sampled_from(["real", "complex", "girko"]),
+    m=st.integers(1, 3),
+    n=st.integers(0, 2),
+    radius=st.floats(1e-300, 1e300),
+    e=st.integers(-1100, 1100),
+    seed=seeds,
+)
+def test_a_power_of_two_in_the_radius_changes_no_row(kind, m, n, radius, e, seed):
+    # the samplers scale each draw to its radius's mantissa, so shell:r and
+    # shell:2^e r draw the same systems; 2^e r is kept exact and finite
+    with np.errstate(over="ignore"):
+        scaled = float(np.ldexp(radius, e))
+    assume(0.0 < scaled < math.inf and math.ldexp(scaled, -e) == radius)
+    rows = [en.draw_rows(make_sampler(kind, m, n, en.FixedShell(r), 1), seed, 0, 600, statistic_rows)
+            for r in (radius, scaled)]
+    assert rows[0][0].tobytes() == rows[1][0].tobytes() and rows[0][1] == rows[1][1]
+
+
+def searchsorted_ks(a, b):
+    """The two-sample KS statistic by counting each sample's points <= every point of both."""
+    xa, xb = np.sort(a), np.sort(b)
+    merged = np.concatenate([xa, xb])
+    return float(np.max(np.abs(np.searchsorted(xa, merged, side="right") / xa.size
+                               - np.searchsorted(xb, merged, side="right") / xb.size)))
+
+
+# few distinct values, so that ties within and across the samples are common
+ks_values = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 0.5]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(
+    a=st.lists(ks_values, min_size=stats.MIN_SAMPLES, max_size=90),
+    b=st.lists(ks_values, min_size=stats.MIN_SAMPLES, max_size=60),
+)
+def test_two_sample_statistic_is_the_searchsorted_one(a, b):
+    a, b = np.array(a), np.array(b)
+    assert stats.ks_two_sample(a, b).statistic == searchsorted_ks(a, b)
+    assert stats.ks_two_sample(b, a).statistic == searchsorted_ks(b, a)
 
 
 @settings(PROPERTY, max_examples=10)
