@@ -3,11 +3,10 @@
 Experiments are described by a flat JSON config (kind, dimensions, radial
 laws, sample count, seed, ...).  Every sampled suite pools its draws
 through _arms, one arm per sampler in order: arm a is ensembles.draw_rows on
-stream a, which draws block b of BLOCK systems from the substream keyed by
-(seed, a << 32 | b), solves and reduces consecutive blocks to report rows in
-cache-sized groups, and redraws each block's rejected systems from its own
-substream, so the pooled sample is bit-identical for a given seed whatever
-the shard count in the config.  exactness and girko-stable pool one arm;
+stream a, which draws block b of ensembles.block_size(sampler) systems from
+the substream keyed by (seed, a << 32 | b), redraws its rejected systems
+from that substream and reduces it to report rows, so the pooled sample is
+bit-identical for a given seed whatever the shard count in the config.  exactness and girko-stable pool one arm;
 the suites that compare radial laws (universality and complex, one suite for
 both fields, and girko) pool one arm per law and compare every pair of arms
 through _pairs.  Every sampled suite passes each of its KS tests at

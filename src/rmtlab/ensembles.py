@@ -14,11 +14,11 @@ entries, and a bimodal two-shell mixture.
 
 A sampler is a function (rng, k) -> (B, R) that draws k linear systems
 B Z = R as stacks; draw_block draws, rejects, redraws and solves one block
-of them.  draw_rows pools any number of draws as blocks of BLOCK, block b of
-stream s drawn from the Philox substream (seed, s << 32 | b): it is the one
-place that keys blocks to substreams.  It solves the blocks of a stream in
-cache-sized groups, one elimination and one statistic call per group, and
-redraws each block's flagged systems from that block's own substream, so a
+of them.  draw_rows pools any number of draws as blocks of block_size
+systems, block b of stream s drawn from the Philox substream
+(seed, s << 32 | b): it is the one place that keys blocks to substreams.
+A block is sized by bytes, so that one elimination and one statistic call
+share numpy's per-call cost while its work arrays stay cache-sized, and a
 row depends on its block alone.  ratio_sampler splits ensemble draws A into
 (B, X), each draw scaled by a power of two that changes no Z.
 """
@@ -35,15 +35,15 @@ import numpy as np
 from . import matcore
 
 _MASK64 = (1 << 64) - 1
-# Draws per substream block in draw_rows: long enough to amortise a new
-# Philox and the sampler's per-call overhead, fixed so that pooled draws
-# depend on the seed and stream alone.
+# Fewest systems in a substream block of draw_rows: enough to amortise a new
+# Philox and the per-call cost of the sampler and the elimination when one
+# system alone takes many bytes.
 BLOCK = 512
-# Most bytes of B and R stacks that draw_rows gathers from consecutive blocks
-# into one elimination: small blocks share numpy's per-call cost, while one
-# group's work arrays stay cache-sized and its memory does not grow with the
-# number of draws.  A group holds at least one block, whatever its size.
-GROUP_BYTES = 256 * 1024
+# Bytes of B and R stacks a substream block holds when that makes it longer
+# than BLOCK systems: small systems then share numpy's per-call cost, while a
+# block's work arrays stay cache-sized and its memory does not grow with the
+# number of draws.
+BLOCK_BYTES = 256 * 1024
 # Times in a row one draw may be flagged near-singular before draw_block gives up
 MAX_REJECTS = 100
 
@@ -301,11 +301,6 @@ def draw_block(sampler: Callable, rng: np.random.Generator, k: int) -> tuple[np.
     MAX_REJECTS times in a row.  Z = B^-1 R has shape (k, m, c).
     """
     Z, flagged = matcore.solve_flagged(*sampler(rng, k))
-    return Z, _redraw(sampler, rng, Z, flagged)
-
-
-def _redraw(sampler: Callable, rng: np.random.Generator, Z: np.ndarray, flagged: np.ndarray) -> int:
-    """Redraw the flagged systems of Z from rng and solve them into Z, until none is flagged: the rejections."""
     rows = np.flatnonzero(flagged)
     rejects = streak = 0  # every row still flagged has been flagged in each round so far
     while rows.size:
@@ -315,64 +310,49 @@ def _redraw(sampler: Callable, rng: np.random.Generator, Z: np.ndarray, flagged:
             raise ResampleLimit(f"{streak} consecutive near-singular draws")
         Z[rows], again = matcore.solve_flagged(*sampler(rng, rows.size))
         rows = rows[again]
-    return rejects
+    return Z, rejects
 
 
-def _solve_group(sampler: Callable, group: list, row_of: Callable) -> tuple[np.ndarray, int]:
-    """Solve a group of drawn blocks [(rng, B, R), ...] in one elimination: (row_of's rows, copied; rejections).
+def block_size(sampler: Callable) -> int:
+    """Systems in each substream block that draw_rows draws from sampler.
 
-    Each block's flagged systems are then redrawn from its own rng, in block
-    order, as draw_block redraws them.  The solve and the statistic work
-    system by system, so a row's bits do not depend on the group.
+    As many as BLOCK_BYTES holds of one system's B and R stacks, and at
+    least BLOCK.  Every system of a sampler takes the same bytes, so they
+    are read off one system drawn on a throwaway generator, which touches
+    no stream.
     """
-    if len(group) == 1:
-        _, B, R = group[0]
-    else:
-        B = np.concatenate([B for _, B, _ in group])
-        R = np.concatenate([R for _, _, R in group])
-    Z, flagged = matcore.solve_flagged(B, R)
-    rejected = first = 0
-    for rng, block, _ in group:
-        last = first + len(block)
-        rejected += _redraw(sampler, rng, Z[first:last], flagged[first:last])
-        first = last
-    return np.array(row_of(Z)), rejected
+    B, R = sampler(np.random.default_rng(0), 1)
+    return max(BLOCK, BLOCK_BYTES // (B.nbytes + R.nbytes))
 
 
 def draw_rows(sampler: Callable, seed: int, stream: int, n: int, row_of: Callable) -> tuple[np.ndarray, int]:
     """Stack row_of(Z) over n systems drawn by sampler and solved: (rows, rejections).
 
-    Block b holds draws b * BLOCK onwards, at most BLOCK of them, drawn in
-    one sampler call from a new generator on the substream
-    (seed, stream << 32 | b), and its flagged systems are redrawn from that
-    generator as draw_block redraws them, so the rows depend on
-    (seed, stream) alone and are those of one draw_block call per block.
-    Consecutive blocks are gathered into a group until the next would take
-    its B and R stacks past GROUP_BYTES; one matcore.solve_flagged call
-    solves a group and one row_of call maps its (k, m, c) solution stack to
-    its k rows, so only the rows, never all solutions, are pooled.  Each
-    group's rows are copied, since the solutions are a view of the larger
-    work array and a row_of that returns a view of them would keep it alive.
-    The rejections of all blocks are summed.  Raises ValueError for n < 1.
+    With k = block_size(sampler), block b holds draws b * k onwards, at
+    most k of them, and is one draw_block call on a new generator on the
+    substream (seed, stream << 32 | b), so the rows depend on
+    (seed, stream) alone.  One row_of call maps a block's (k, m, c)
+    solution stack to its k rows, so only the rows, never all solutions,
+    are pooled.  Each block's rows are copied, since the solutions are a
+    view of the elimination's work array and a row_of that returns a view
+    of them would keep it alive.  The rejections of all blocks are summed.
+    Raises ValueError for n < 1, a seed outside 0..2**64 - 1 or a stream
+    outside 0..2**32 - 1, which would alias another seed's or stream's
+    substreams.
     """
-    n = as_integer(n, "n")
+    seed, stream, n = as_integer(seed, "seed"), as_integer(stream, "stream"), as_integer(n, "n")
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must lie in 0..2**64 - 1, got {seed}")
+    if not 0 <= stream < 1 << 32:
+        raise ValueError(f"stream must lie in 0..2**32 - 1, got {stream}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rows, group = [], []
-    rejected = held = 0
-    for b, first in enumerate(range(0, n, BLOCK)):
-        rng = RngStream(seed, (stream << 32) | b).generator()
-        k = min(BLOCK, n - first)
-        B, R = sampler(rng, k)
-        group.append((rng, B, R))
-        held += B.nbytes + R.nbytes
-        # every system of a stream takes the same bytes, so the next block's are known before it is drawn
-        following = min(BLOCK, n - first - k)
-        if not following or held + following * (B.nbytes + R.nbytes) // k > GROUP_BYTES:
-            group_rows, rej = _solve_group(sampler, group, row_of)
-            rows.append(group_rows)
-            rejected += rej
-            group, held = [], 0
+    k = block_size(sampler)
+    rows, rejected = [], 0
+    for b, first in enumerate(range(0, n, k)):
+        Z, rej = draw_block(sampler, RngStream(seed, (stream << 32) | b).generator(), min(k, n - first))
+        rows.append(np.array(row_of(Z)))
+        rejected += rej
     return np.concatenate(rows), rejected
 
 

@@ -65,12 +65,12 @@ EVERY_KIND = {
 REPORT_DIGESTS = {
     "exactness": ("c4655e2b0a7117366a88dc0296f4219c0a5643cb3fd138036423a8544c77b782",
                   "153dde49105685870d9f147f178b8930864e57ce8e1ba7c38ed349bbaa70bebc"),
-    "universality": ("319b82df7ad54083b22d5800122b2e843ed5ed32e54cd77a42c43725e0256dc1",
-                     "1b79ae40fc212d1e1c28c9fa99253e417695d37bf802fb87fb718136bc38d4b8"),
-    "complex": ("a235cf72fa5838e812b07e48cdb1876b5cd490aab2703806a1818f4141582204",
-                "9e3479caac735f55f45b674b3f07bb5968e509849987b9b88a8a1cf814752fa5"),
-    "girko": ("4e095d6ab3bec357eb1303b53cd700f6cd6fa02554d78f681c227cc55193c781",
-              "e04fa4ed1da9805cc6e073366f71708246085c41820cfd2cd76b8dc69a5c3765"),
+    "universality": ("365564db2a967968f566864441e035357e1e68878a8037b71bfe0da3334ff602",
+                     "8755f116563b973c51b191699eb7a1c9decb1a2e426110975a490d3a4152dffb"),
+    "complex": ("53e6d8a98482fc29b0a7355180753ab530002f30f2e1f9b354bc38fc8f6b35d0",
+                "1fb566c7827a3386088e823992a74a7c8302e790cc861d197459825eff6c1bd6"),
+    "girko": ("f4610f83c8d439bff3777964b0f1d6ebe5ea2882be382137fd4187782825f74c",
+              "3a92fb4f3eb85670612a56280b40144aa31b279611b6f793b8ca8044ccbf39c6"),
     "girko-stable": ("f9fbbcf703c8e0be5034411c6ee24962ccd44a43d5f47f7b519d2c2f0a2713cc",
                      "6bb6d3c74cf5d4132c93c06af27c87909a238531cb0d709eb29f6cdb603a1dfb"),
     "identities": ("c51ea9b2de1becd560d5ecc72493ab0514f1d9fe33b6aba7ee4883f118dfb6fe",

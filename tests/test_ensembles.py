@@ -24,8 +24,8 @@ def block_draws(sampler, stream, count, seed=20260808):
 def per_block_rows(sampler, stream, count, row_of, seed=20260808):
     """count rows pooled with one draw_block call per substream block of (seed, stream): (rows, rejections)."""
     rows, rejected = [], 0
-    for b, first in enumerate(range(0, count, en.BLOCK)):
-        Z, rej = en.draw_block(sampler, gen((stream << 32) | b, seed), min(en.BLOCK, count - first))
+    for b, k in enumerate(block_sizes(sampler, count)):
+        Z, rej = en.draw_block(sampler, gen((stream << 32) | b, seed), k)
         rows.append(row_of(Z))
         rejected += rej
     return np.concatenate(rows), rejected
@@ -36,23 +36,14 @@ def statistic_rows(Z):
     return np.column_stack([matcore.gram_logdet(Z), Z.reshape(len(Z), -1)])
 
 
-def block_sizes(count):
-    """The systems in each substream block of count draws."""
-    return [min(en.BLOCK, count - first) for first in range(0, count, en.BLOCK)]
-
-
-def group_sizes(system_bytes, count):
-    """The systems in each group that draw_rows solves in one elimination, at system_bytes of B and R a system."""
-    groups = [0]
-    for k in block_sizes(count):
-        if groups[-1] and (groups[-1] + k) * system_bytes > en.GROUP_BYTES:
-            groups.append(0)
-        groups[-1] += k
-    return groups
+def block_sizes(sampler, count):
+    """The systems in each substream block of count draws from sampler."""
+    k = en.block_size(sampler)
+    return [min(k, count - first) for first in range(0, count, k)]
 
 
 def parent_draws(spec, g, count):
-    """count parent matrices (count, m, m + n) drawn from g as the block sampler draws them, BLOCK at a time."""
+    """count parent matrices (count, m, m + n) drawn from g in sampler calls of BLOCK draws each."""
     return np.concatenate([en._matrices(spec, g, min(en.BLOCK, count - i)) for i in range(0, count, en.BLOCK)])
 
 
@@ -343,8 +334,8 @@ class TestDrawBlock:
         assert one.to_json().replace('"shards": 1', '"shards": 3') == three.to_json()
 
     def test_pooled_rows_do_not_keep_the_solutions(self):
-        # Z is a view of a group's (m, m + c, k) work array, and the first
-        # column is a view of Z; pooling that view would keep every group's
+        # Z is a view of a block's (m, m + c, k) work array, and the first
+        # column is a view of Z; pooling that view would keep every block's
         # whole work array alive until the rows are concatenated
         work = []
 
@@ -358,11 +349,11 @@ class TestDrawBlock:
             work.append(weakref.ref(owner(Z)))
             return Z[:, :, 0]
 
-        # (3, 2): 72 + 48 bytes a system, so four blocks to a group, and 12 blocks make three groups
+        # (3, 2): 72 + 48 bytes a system, so 2184 systems to a block, and three blocks
         sampler = en.ratio_sampler(en.EnsembleSpec(m=3, n=2))
-        n = 12 * en.BLOCK
+        n = 3 * en.block_size(sampler)
         rows, _ = en.draw_rows(sampler, 20260808, 0, n, first_column)
-        assert len(work) == len(group_sizes(120, n)) == 3 and rows.shape == (n, 3)
+        assert len(work) == len(block_sizes(sampler, n)) == 3 and rows.shape == (n, 3)
         assert np.array_equal(rows, per_block_rows(sampler, 0, n, lambda Z: Z[:, :, 0])[0])
 
     def test_resample_limit_in_a_block(self, monkeypatch):
@@ -372,22 +363,23 @@ class TestDrawBlock:
             en.draw_block(en.ratio_sampler(en.EnsembleSpec(m=2, n=1)), gen(46), en.BLOCK)
 
 
-class TestDrawRowsGroups:
-    """draw_rows solves consecutive substream blocks in groups, with the rows of one draw_block call per block."""
+class TestDrawRowsBlocks:
+    """draw_rows pools the rows of one draw_block call per substream block of block_size systems."""
 
-    SHAPES = {  # sampler and bytes of B and R a system
-        "real (1, 1)": (en.ratio_sampler(en.EnsembleSpec(m=1, n=1)), 16),
-        "real (2, 2)": (en.ratio_sampler(en.EnsembleSpec(m=2, n=2)), 64),
-        "real (3, 1)": (en.ratio_sampler(en.EnsembleSpec(m=3, n=1)), 96),
-        "girko (2, 1)": (girko.solution_sampler(girko.LinearSystemSpec(2, 1, (0.75,))), 48),
-        "stable (2, 1)": (girko.stable_sampler(2, 1, (0.75,), girko.StableLaw(alpha=1)), 48),
-        "real (8, 4)": (en.ratio_sampler(en.EnsembleSpec(m=8, n=4)), 768),
-        "complex (4, 2)": (en.ratio_sampler(en.EnsembleSpec(m=4, n=2, field="complex")), 384),
+    SHAPES = {  # sampler and the systems in its blocks
+        "real (1, 1)": (en.ratio_sampler(en.EnsembleSpec(m=1, n=1)), 16384),
+        "real (2, 2)": (en.ratio_sampler(en.EnsembleSpec(m=2, n=2)), 4096),
+        "real (3, 1)": (en.ratio_sampler(en.EnsembleSpec(m=3, n=1)), 2730),
+        "complex (1, 1)": (en.ratio_sampler(en.EnsembleSpec(m=1, n=1, field="complex")), 8192),
+        "girko (2, 1)": (girko.solution_sampler(girko.LinearSystemSpec(2, 1, (0.75,))), 5461),
+        "stable (2, 1)": (girko.stable_sampler(2, 1, (0.75,), girko.StableLaw(alpha=1)), 5461),
+        "real (8, 4)": (en.ratio_sampler(en.EnsembleSpec(m=8, n=4)), en.BLOCK),
+        "complex (4, 2)": (en.ratio_sampler(en.EnsembleSpec(m=4, n=2, field="complex")), 682),
     }
 
     @staticmethod
     def counted(monkeypatch):
-        """Count the solve_flagged calls of the first pass of each group, by their size."""
+        """Count the solve_flagged calls of the first pass of each block, by their size."""
         sizes = []
         solve = matcore.solve_flagged
 
@@ -399,41 +391,78 @@ class TestDrawRowsGroups:
         return sizes
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    @pytest.mark.parametrize("n", [1, 3 * en.BLOCK, 9 * en.BLOCK + 7])
-    def test_groups_give_the_rows_of_one_draw_block_per_block(self, monkeypatch, shape, n):
-        sampler, system_bytes = self.SHAPES[shape]
+    def test_block_size(self, shape):
+        # BLOCK_BYTES of one system's B and R stacks, or BLOCK systems when
+        # a system takes more than BLOCK_BYTES / BLOCK bytes, as at (8, 4)
+        sampler, size = self.SHAPES[shape]
+        B, R = sampler(gen(7), 1)
+        assert en.block_size(sampler) == size == max(en.BLOCK, en.BLOCK_BYTES // (B.nbytes + R.nbytes))
+
+    def test_block_size_floor_for_wide_systems(self):
+        # one complex (64, 64) system takes 128 KiB, so a block of BLOCK systems takes 67 MB
+        sampler = en.ratio_sampler(en.EnsembleSpec(m=64, n=64, field="complex"))
+        B, R = sampler(gen(7), 1)
+        assert B.nbytes + R.nbytes == en.BLOCK_BYTES // 2 and en.block_size(sampler) == en.BLOCK
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize(("blocks", "extra"), [(0, 1), (1, 0), (3, 7)])
+    def test_blocks_give_the_rows_of_one_draw_block_per_block(self, monkeypatch, shape, blocks, extra):
+        sampler, size = self.SHAPES[shape]
+        n = blocks * size + extra
         want, want_rejected = per_block_rows(sampler, 5, n, statistic_rows)
         sizes = self.counted(monkeypatch)
-        rows, rejected = en.draw_rows(sampler, 20260808, 5, n, statistic_rows)
-        assert rows.tobytes() == want.tobytes() and rejected == want_rejected == 0
-        assert sizes == group_sizes(system_bytes, n)
+        reduced = []
 
-    def test_wide_blocks_are_solved_alone(self):
-        # over half of GROUP_BYTES a block, so a group holds one block and one more is never gathered
-        assert group_sizes(768, 3 * en.BLOCK + 1) == [en.BLOCK] * 3 + [1]
-        assert group_sizes(384, 3 * en.BLOCK) == [en.BLOCK] * 3
-        assert group_sizes(64, 9 * en.BLOCK + 7) == [8 * en.BLOCK, en.BLOCK + 7]
+        def counting_rows(Z):
+            reduced.append(len(Z))
+            return statistic_rows(Z)
+
+        rows, rejected = en.draw_rows(sampler, 20260808, 5, n, counting_rows)
+        assert rows.tobytes() == want.tobytes() and rejected == want_rejected == 0
+        assert sizes == reduced == block_sizes(sampler, n) and len(sizes) == blocks + (extra > 0)
 
     @pytest.mark.parametrize("shape", ["real (2, 2)", "girko (2, 1)", "stable (2, 1)"])
-    def test_forced_rejections_in_several_blocks_of_a_group(self, monkeypatch, shape):
+    def test_forced_rejections_in_several_blocks(self, monkeypatch, shape):
         # at ratio 0.3 about half of the 2 x 2 systems are redrawn, in several rounds,
-        # each from its own block's substream after the group's one elimination
+        # each from its own block's substream
         monkeypatch.setattr(matcore, "NEAR_SINGULAR_RATIO", 0.3)
-        sampler, system_bytes = self.SHAPES[shape]
-        n = 3 * en.BLOCK + 100
+        sampler, size = self.SHAPES[shape]
+        n = 3 * size + 100
         per_block = [en.draw_block(sampler, gen((6 << 32) | b), k)[1]
-                     for b, k in enumerate(block_sizes(n))]
-        assert len(group_sizes(system_bytes, n)) == 1 and all(rej > 0 for rej in per_block)
+                     for b, k in enumerate(block_sizes(sampler, n))]
+        assert len(per_block) == 4 and all(rej > 0 for rej in per_block)
         want, want_rejected = per_block_rows(sampler, 6, n, statistic_rows)
         rows, rejected = en.draw_rows(sampler, 20260808, 6, n, statistic_rows)
         assert rows.tobytes() == want.tobytes() and rejected == want_rejected == sum(per_block)
         assert np.isfinite(rows).all()
 
-    def test_resample_limit_in_a_group(self, monkeypatch):
+    def test_resample_limit_in_draw_rows(self, monkeypatch):
         monkeypatch.setattr(matcore, "NEAR_SINGULAR_RATIO", 1e12)
         monkeypatch.setattr(en, "MAX_REJECTS", 5)
+        sampler = en.ratio_sampler(en.EnsembleSpec(m=2, n=1))
         with pytest.raises(en.ResampleLimit, match="^5 consecutive near-singular draws$"):
-            en.draw_rows(en.ratio_sampler(en.EnsembleSpec(m=2, n=1)), 20260808, 0, 3 * en.BLOCK, cli._first_column)
+            en.draw_rows(sampler, 20260808, 0, 3 * en.block_size(sampler), cli._first_column)
+
+    @pytest.mark.parametrize(("name", "seed", "stream"), [
+        ("stream", 20260808, 2**32),  # would draw the substreams of stream 0
+        ("stream", 20260808, -1),
+        ("stream", 20260808, 1.5),
+        ("stream", 20260808, True),
+        ("seed", 5 + 2**64, 0),  # would draw the substreams of seed 5
+        ("seed", -3, 0),  # would draw the substreams of seed 2**64 - 3
+        ("seed", 5.5, 0),
+        ("seed", True, 0),  # would draw as seed 1
+        ("seed", "5", 0),
+        ("seed", None, 0),
+    ])
+    def test_seed_and_stream_checked(self, name, seed, stream):
+        with pytest.raises(ValueError, match=f"^{name}: |^{name} must lie in"):
+            en.draw_rows(en.ratio_sampler(en.EnsembleSpec(m=2, n=1)), seed, stream, 10, cli._first_column)
+
+    def test_largest_seed_and_stream_accepted(self):
+        sampler = en.ratio_sampler(en.EnsembleSpec(m=2, n=1))
+        rows, _ = en.draw_rows(sampler, 2**64 - 1, 2**32 - 1, 10.0, cli._first_column)
+        assert rows.tobytes() == per_block_rows(sampler, 2**32 - 1, 10, cli._first_column, seed=2**64 - 1)[0].tobytes()
 
     @pytest.mark.parametrize("n", [0, -3, True, 2.5, "2", None])
     def test_count_checked(self, n):

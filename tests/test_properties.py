@@ -120,8 +120,9 @@ def test_transpose_swaps_m_and_n(m, n, seed, log_scale, q):
 radial_laws = st.sampled_from(
     [en.GaussianEntries(), en.FixedShell(1.0), en.UniformBall(3.0), en.TwoShellMixture(0.5, 5.0, 0.3)]
 )
-# below, at and just past one, two and three blocks (BLOCK = 512)
-sample_counts = st.sampled_from([35, 511, 512, 513, 1023, 1024, 1025, 1535, 1536, 1537])
+# (blocks, extra): 35 draws, or below, at and just past one, two and three
+# blocks of the sampler's block_size
+sample_counts = st.sampled_from([(0, 35)] + [(blocks, extra) for blocks in (1, 2, 3) for extra in (-1, 0, 1)])
 
 
 def make_sampler(kind, m, n, law, alpha):
@@ -152,18 +153,19 @@ generator_calls = st.tuples(st.sampled_from(sorted(GENERATOR_CALLS)), st.integer
     n=st.integers(0, 2),
     law=radial_laws,
     alpha=st.sampled_from([1, 2]),
-    k=st.integers(1, 2 * en.BLOCK),
+    blocks=st.floats(0.0, 2.0),
     ratio=st.sampled_from([matcore.NEAR_SINGULAR_RATIO, 0.3]),
     seed=seeds,
     earlier=st.lists(generator_calls, max_size=6),
 )
-def test_draw_block_depends_on_the_generator_state_alone(kind, m, n, law, alpha, k, ratio, seed, earlier):
+def test_draw_block_depends_on_the_generator_state_alone(kind, m, n, law, alpha, blocks, ratio, seed, earlier):
     gen = en.RngStream(seed).generator()
     for name, size in earlier:
         GENERATOR_CALLS[name](gen, size)
     twin = np.random.Generator(np.random.Philox())
     twin.bit_generator.state = gen.bit_generator.state
     sampler = make_sampler(kind, m, n, law, alpha)
+    k = max(1, round(blocks * en.block_size(sampler)))  # up to two of draw_rows' blocks
     with mock.patch.object(matcore, "NEAR_SINGULAR_RATIO", ratio):
         Z, rejected = en.draw_block(sampler, gen, k)
         again, rejected_again = en.draw_block(sampler, twin, k)
@@ -177,11 +179,12 @@ def statistic_rows(Z):
 
 
 def per_block_rows(seed, samples, arm, sampler, row_of):
-    """Pooled rows drawn with one draw_block call per substream block."""
+    """Pooled rows drawn with one draw_block call per substream block of block_size systems."""
     rows, rejected = [], 0
-    for b, start in enumerate(range(0, samples, en.BLOCK)):
+    k = en.block_size(sampler)
+    for b, start in enumerate(range(0, samples, k)):
         gen = en.RngStream(seed, (arm << 32) | b).generator()
-        Z, rej = en.draw_block(sampler, gen, min(en.BLOCK, samples - start))
+        Z, rej = en.draw_block(sampler, gen, min(k, samples - start))
         rows.append(row_of(Z))
         rejected += rej
     return np.concatenate(rows), rejected
@@ -194,13 +197,15 @@ def per_block_rows(seed, samples, arm, sampler, row_of):
     n=st.integers(0, 2),
     law=radial_laws,
     alpha=st.sampled_from([1, 2]),
-    samples=sample_counts,
+    count=sample_counts,
     ratio=st.sampled_from([matcore.NEAR_SINGULAR_RATIO, 0.3]),
     seed=seeds,
     arm=st.integers(0, 3),
 )
-def test_pooled_rows_are_one_draw_block_per_substream(kind, m, n, law, alpha, samples, ratio, seed, arm):
+def test_pooled_rows_are_one_draw_block_per_substream(kind, m, n, law, alpha, count, ratio, seed, arm):
     sampler = make_sampler(kind, m, n, law, alpha)
+    blocks, extra = count
+    samples = blocks * en.block_size(sampler) + extra
     with mock.patch.object(matcore, "NEAR_SINGULAR_RATIO", ratio):
         rows, rejected = en.draw_rows(sampler, seed, arm, samples, statistic_rows)
         want, want_rejected = per_block_rows(seed, samples, arm, sampler, statistic_rows)
@@ -258,19 +263,20 @@ def test_two_sample_statistic_is_the_searchsorted_one(a, b):
 @given(bad_block=st.integers(1, 2), seed=seeds)
 def test_resample_limit_in_a_later_block_raises(bad_block, seed):
     # every draw of one block's substream is singular; the blocks before it
-    # are ordinary
+    # are ordinary, and the draws span three blocks
     base = en.ratio_sampler(en.EnsembleSpec(m=2, n=1))
+    samples = 3 * en.block_size(base)
 
     def sampler(rng, k):
-        block = int(rng.bit_generator.state["state"]["key"][1]) & 0xFFFFFFFF
+        key = rng.bit_generator.state["state"].get("key")  # None on block_size's throwaway generator
         B, X = base(rng, k)
-        scale = 0.0 if block == bad_block else 1.0
+        scale = 0.0 if key is not None and int(key[1]) & 0xFFFFFFFF == bad_block else 1.0
         return B * scale, X * scale
 
-    with pytest.raises(en.ResampleLimit):
-        en.draw_rows(sampler, seed, 0, 1100, cli._first_column)
-    with pytest.raises(en.ResampleLimit):
-        per_block_rows(seed, 1100, 0, sampler, cli._first_column)
+    with pytest.raises(en.ResampleLimit, match="^100 consecutive near-singular draws$"):
+        en.draw_rows(sampler, seed, 0, samples, cli._first_column)
+    with pytest.raises(en.ResampleLimit, match="^100 consecutive near-singular draws$"):
+        per_block_rows(seed, samples, 0, sampler, cli._first_column)
 
 
 @settings(PROPERTY, max_examples=20)
