@@ -195,14 +195,24 @@ class RngStream:
     The (seed, stream_id) pair keys a counter-based Philox generator, so
     identical pairs reproduce identical sequences and distinct stream_ids
     give statistically independent streams without any coordination.
+    Each is an integer in 0..2**64 - 1; anything else raises a ValueError
+    that names the field.
     """
 
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        # Philox keys on 64 bits each, so a wider or negative value would draw as another stream
+        for name in ("seed", "stream_id"):
+            value = as_integer(getattr(self, name), name)
+            if not 0 <= value <= _MASK64:
+                raise ValueError(f"{name} must lie in 0..2**64 - 1, got {value}")
+            object.__setattr__(self, name, value)
+
     def generator(self) -> np.random.Generator:
         """A Philox generator at the start of this stream."""
-        key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -340,9 +350,7 @@ def draw_rows(sampler: Callable, seed: int, stream: int, n: int, row_of: Callabl
     outside 0..2**32 - 1, which would alias another seed's or stream's
     substreams.
     """
-    seed, stream, n = as_integer(seed, "seed"), as_integer(stream, "stream"), as_integer(n, "n")
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must lie in 0..2**64 - 1, got {seed}")
+    stream, n = as_integer(stream, "stream"), as_integer(n, "n")
     if not 0 <= stream < 1 << 32:
         raise ValueError(f"stream must lie in 0..2**32 - 1, got {stream}")
     if n < 1:

@@ -11,9 +11,25 @@ repr's too: exponent form when the decimal exponent is below -4 or at least
 16 ("1e-05", "1e+16"), and ".0" after an integral value.  Zeros, subnormals,
 infinities and nan go through str() one value at a time.
 
+Each value is written as one slot of four uint64 words, 32 bytes, and the
+NULs among them are dropped at the end:
+
+    byte 0..23   sign, digits and point: words 0..2
+    byte 24..28  'e', the exponent's sign and up to three digits
+    byte 29      ',' or, after a row's last value, '\n'
+    byte 30..31  NUL
+
+The 20 digits of the decimal's significand f, zero-padded, make three words
+D with digit i at byte 2 + i, built from five table lookups.  A layout (sign,
+digit count, point and notation) has a template and two digit masks, also
+three words each, and words 0..2 are template | (D & integer mask) |
+(D & fraction mask) << 8, the shift carried across the words: moving the
+fraction's digits one byte up opens the byte of the point.  A row's label is
+padded with NULs to a word boundary, so every slot is word-aligned.
+
 Only 64-bit integer arithmetic is used: the 128-bit products take 32-bit
-halves, and the table of 126-bit powers of ten is computed from exact
-Python integers on the first call, not at import.
+halves.  The table of 126-bit powers of ten, computed from exact Python
+integers, and the word tables are built on the first call, not at import.
 """
 
 from __future__ import annotations
@@ -25,10 +41,12 @@ import numpy as np
 K_MIN, K_MAX = -324, 292  # decimal exponents a float64's digits can need
 MASK32 = 0xFFFF_FFFF
 MASK63 = 2**63 - 1
-# a value's template: sign, the 22 digit slots with a point slot after all but
-# the last, 'e', the exponent's sign and three digits, and the separator
-WIDTH = 50
 _FORMS = 21  # fixed notation at decpt -3..16, and exponent notation
+# f < 10^17 in five groups, a = f // 10^14, b1 b0 the next eight digits and c1 c0 the last six,
+# each a value below 10^4 whose four digits (the leading ones 0) go into D at a byte shift, listed
+# a, b0, c0, b1, c1 with (bits shifted, digits of f after the group); a leading '0' that lands on
+# another group's digit leaves it as it is, since '0' | d == d for the ASCII digits
+_GROUPS = ((32, 14), (32, 6), (16, 0), (0, 10), (0, 2))
 
 
 @functools.cache
@@ -52,51 +70,66 @@ def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _quads() -> tuple[np.ndarray, np.ndarray]:
-    """The four ASCII digits of each of 0..9999 as one uint32, and their trailing zeros.
+def _digits() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four ASCII digits of each of 0..9999 as a uint32, their trailing zeros, and _GROUPS's columns.
 
-    0 is given 64, so that the fewest trailing zeros over f's groups, each
-    group's count plus four per group after it, come from its last nonzero
-    group.
+    0 is given 64 trailing zeros, so that f's trailing zeros are the least
+    over its groups of a group's trailing zeros plus the digits after it.
     """
-    digits = (np.arange(10_000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], dtype=np.int16) % 10)
+    digits = np.arange(10_000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], dtype=np.int16) % 10
     digits = digits.astype(np.uint8)
-    trailing = (digits[:, ::-1] == 0).cumprod(axis=1).sum(axis=1, dtype=np.uint8)
+    quads = (digits + ord("0")).view(np.uint32).ravel()  # first digit at byte 0
+    trailing = (digits[:, ::-1] == 0).cumprod(axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
     trailing[0] = 64
-    return (digits + ord("0")).view(np.uint32).ravel(), trailing
+    shifts, after = np.array(_GROUPS, dtype=np.uint64).T[:, :, None]
+    return quads, trailing, shifts, after.astype(np.uint8)
 
 
 @functools.cache
-def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Templates and digit masks by layout, and exponent text by decimal point.
+def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Templates by layout, digit masks by unsigned layout, and a layout offset and word 3 by (lead, k).
 
-    A template has 22 digit slots: '0', the 20 digits of f zero-padded, '0',
-    so f's 17 digits start at digit slot 4.  A point slot follows each digit
-    slot but the last.  A value's layout is (lead 17 + last) _FORMS + form:
-    lead is 1 when f has 16 digits, last indexes the last nonzero of f's 17,
-    and form is decpt + 3 in fixed notation (decpt -3..16) and _FORMS - 1 in
-    exponent notation.  A negative value's template is 2 17 _FORMS further
-    on.  Bytes a value drops are 0, and its digit mask is 0xFF on the digit
-    slots 1..20 it keeps.  The exponent text of decpt, 'e', sign and three
-    digit slots, is at decpt - K_MIN - 16.
+    f's zero-padded text has 22 digit slots: '0', the 20 digits of D, '0',
+    so D's digit i is slot 1 + i and f's 17 digits start at slot 4.  The
+    point comes before slot point; an integer slot s is written at byte
+    1 + s and a fraction slot at byte 2 + s.  A value's layout is
+    ((negative 2 + lead) _FORMS + form) 17 + trailing: lead is 1 when f has
+    16 digits, form is decpt + 3 in fixed notation (decpt -3..16) and
+    _FORMS - 1 in exponent notation, and trailing counts f's trailing zeros.
+    Column layout of the first table holds a template's three words, and
+    column layout % (2 _FORMS 17) of the second the integer and then the
+    fraction digit mask, three words each over D's bytes.  The last two
+    tables are indexed by lead (K_MAX - K_MIN + 1) + k - K_MIN: the layout
+    of (positive, lead, form, no trailing zero), and word 3, the exponent
+    text (NUL in fixed notation) and ','.
     """
-    negative, lead, last, form = np.indices((2, 2, 17, _FORMS), dtype=np.int8).reshape(4, -1, 1)
+    negative, lead, form, trailing = np.indices((2, 2, _FORMS, 17)).reshape(4, -1, 1)
+    last = 16 - trailing  # f's last nonzero digit, of its 17
     fixed = form < _FORMS - 1
-    point = np.where(fixed, lead + 1 + form, lead + 5)  # the digit slot the point precedes
+    point = np.where(fixed, lead + 1 + form, lead + 5)  # the slot the point precedes
     first = np.minimum(lead + 4, point - 1)
-    end = np.where(fixed, np.maximum(last + 5, point + 1), last + 5)  # past the last digit slot kept
-    slot = np.arange(22, dtype=np.int8)
+    end = np.where(fixed, np.maximum(last + 5, point + 1), last + 5)  # past the last slot kept
+    slot = np.arange(22)
     kept = (slot >= first) & (slot < end)
-    templates = np.zeros((len(form), WIDTH), dtype=np.uint8)
-    templates[:, 0] = ord("-") * negative[:, 0]
-    templates[:, 1:44:2] = ord("0") * kept
-    templates[:, 2:43:2] = ord(".") * ((slot[:21] == point - 1) & (fixed | (last > lead)))
-    templates[:, -1] = ord(",")
-    exponents = b"".join(b"\0" * 5 if -3 <= decpt <= 16
-                         else b"e" + (b"-" if decpt < 1 else b"+") + (b"%02d" % abs(decpt - 1)).rjust(3, b"\0")
-                         for decpt in range(K_MIN + 16, K_MAX + 18))
-    return (templates, 0xFF * kept[:len(kept) // 2, 1:21].astype(np.uint8),
-            np.frombuffer(exponents, dtype=np.uint8).reshape(-1, 5))
+    integer, fraction = kept & (slot < point), kept & (slot >= point)
+    templates = np.zeros((len(form), 24), dtype=np.uint8)
+    rows = np.arange(len(form))
+    templates[:, 1] = ord("0") * integer[:, 0]
+    templates[:, 23] = ord("0") * fraction[:, 21]
+    templates[rows, first[:, 0]] = ord("-") * negative[:, 0]  # over byte 1 only when slot 0 is dropped
+    templates[rows, point[:, 0] + 1] = ord(".") * (fixed | (last > lead))[:, 0]
+    masks = np.zeros((len(form) // 2, 2, 24), dtype=np.uint8)
+    masks[:, 0, 2:22] = np.uint8(0xFF) * integer[:len(form) // 2, 1:21]
+    masks[:, 1, 2:22] = np.uint8(0xFF) * fraction[:len(form) // 2, 1:21]
+
+    lead, k = np.indices((2, K_MAX - K_MIN + 1))
+    decpt = (17 - lead + k + K_MIN).ravel().tolist()
+    form = [p + 3 if -3 <= p <= 16 else _FORMS - 1 for p in decpt]
+    exponents = b"".join((b"\0" * 5 if -3 <= p <= 16 else b"e" + (b"-" if p < 1 else b"+")
+                          + (b"%02d" % abs(p - 1)).rjust(3, b"\0")) + b",\0\0" for p in decpt)
+    return (np.ascontiguousarray(templates.view(np.uint64).T),
+            np.ascontiguousarray(masks.view(np.uint64).reshape(-1, 6).T),
+            (lead.ravel() * _FORMS + form) * 17, np.frombuffer(exponents, dtype=np.uint64))
 
 
 def _split(a: np.ndarray) -> tuple:
@@ -157,44 +190,73 @@ def format_rows(block: np.ndarray, prefix: str = "") -> bytes:
 
 
 def _text(block: np.ndarray, prefix: str) -> np.ndarray:
-    """The CSV text of block's rows, with NULs among it.
+    """The CSV text of block's rows as uint64 words, with NULs among it.
 
-    Each value takes the template of WIDTH bytes that _layouts() holds for its
-    sign, digits and decimal point; its masked digits and its exponent are
-    copied in.  The bytes a value drops are 0.
+    Each row is its label, NUL-padded to whole words, then one slot of four
+    words a value.  Each temporary is dropped once used, so that the peak
+    stays in _shortest.
     """
     rows, cols = block.shape
-    x = np.ascontiguousarray(block, dtype=np.float64)
-    biased = x.view(np.uint64) >> 52 & 0x7FF
-    special = (biased == 0) | (biased == 0x7FF)  # zero, subnormal, inf or nan
-    f, k = _shortest(np.where(special, 1.0, x))
+    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    special = (x.view(np.uint64) + 2**52 & 0x7FF << 52) < 2**53  # zero, subnormal, inf or nan
+    f, k = _shortest(np.where(special, 1.0, x) if special.any() else x)
+    lead_k = (f < 10**16) * (K_MAX - K_MIN + 1) + (k - K_MIN)  # lead: f has 16 digits, its first a padding zero
+    quads, trailing, shifts, after = _digits()
+    groups = _groups(f.view(np.int64))
+    del f, k
+    D = np.take(quads, groups) << shifts  # uint64, from the uint32 quads
+    D[1:3] |= D[3:]  # b1's and c1's digits join b0's and c0's word
+    D = D[:3]
+    D[0] |= 0x3030 << 16  # the two leading zeros of D that a's four digits miss
 
-    # f's 17 digits, zero-padded to 20, as five groups of four
-    hi, lo = np.divmod(f, 10**8)
-    top, hi = np.divmod(hi.astype(np.uint32), 10**8)
-    groups = (top, *np.divmod(hi, 10**4), *np.divmod(lo.astype(np.uint32), 10**4))
-    quads, zeros = _quads()
-    trailing = functools.reduce(np.minimum, (zeros[g] + 4 * (4 - i) for i, g in enumerate(groups)))
-    lead = f < 10**16  # f has 16 digits, so its first is a padding zero
-    decpt = 17 - lead + k  # x = 0.d1d2... 10^decpt
-    form = np.where((decpt >= -3) & (decpt <= 16), decpt + 3, _FORMS - 1)
-    layout = (lead * 17 + 16 - trailing) * _FORMS + form
+    templates, digit_masks, offsets, exponents = _layouts()
+    layout = np.take(offsets, lead_k)
+    counts = np.take(trailing, groups)
+    counts += after
+    layout += counts.min(axis=0)
+    del groups, counts
+    masks = np.take(digit_masks, layout, axis=1)  # the integer digits' three words, then the fraction's
+    masks.reshape(2, 3, -1)[:] &= D  # both masks
+    del D
+    fraction = masks[3:]
+    carry = fraction[:2] >> 56
+    fraction <<= 8
+    fraction[1:] |= carry
+    del carry
+    layout += (x < 0) * (2 * _FORMS * 17)
+    words = np.take(templates, layout, axis=1)
+    del layout
+    words |= masks[:3]
 
-    head = prefix.encode()
-    buf = np.empty((rows, len(head) + cols * WIDTH), dtype=np.uint8)
-    buf[:, :len(head)] = np.frombuffer(head, dtype=np.uint8)
-    text = buf[:, len(head):].reshape(rows, cols, WIDTH)
-    templates, digit_masks, exponents = _layouts()
-    np.take(templates, layout + (x.view(np.int64) < 0) * (2 * 17 * _FORMS), axis=0, out=text, mode="clip")
-    digits = quads[np.stack(groups, axis=-1)].view(np.uint8).reshape(rows, cols, 20)
-    digits &= np.take(digit_masks, layout, axis=0)
-    text[..., 3:42:2] = digits
-    where = np.nonzero(form == _FORMS - 1)  # only exponent form writes an exponent
-    text[where + (slice(44, 49),)] = exponents[decpt[where] - (K_MIN + 16)]
-    text[:, -1, -1] = ord("\n")
+    slots = np.empty((len(x), 4), dtype=np.uint64)
+    np.bitwise_or(words, fraction, out=slots[:, :3].T)
+    del words, masks, fraction
+    slots[:, 3] = np.take(exponents, lead_k)
+    slots[cols - 1::cols, 3] ^= (ord(",") ^ ord("\n")) << 40
+    for i in np.flatnonzero(special):
+        slots.view(np.uint8)[i, :29] = np.frombuffer(str(float(x[i])).encode().ljust(29, b"\0"), dtype=np.uint8)
+    label = prefix.encode()
+    if not label:
+        return slots
+    label += b"\0" * (-len(label) % 8)
+    text = np.empty((rows, len(label) // 8 + 4 * cols), dtype=np.uint64)
+    text[:, :len(label) // 8] = np.frombuffer(label, dtype=np.uint64)
+    text[:, len(label) // 8:] = slots.reshape(rows, 4 * cols)
+    return text
 
-    for r, j in zip(*np.nonzero(special)):
-        word = str(float(x[r, j])).encode()
-        text[r, j, :-1] = 0
-        text[r, j, :len(word)] = np.frombuffer(word, dtype=np.uint8)
-    return buf
+
+def _groups(f: np.ndarray) -> np.ndarray:
+    """The values of f's groups a, b0, c0, b1, c1 as rows, for int64 f < 10^17.
+
+    Floor division and a product: numpy's divmod is about twice as slow.
+    """
+    groups = np.empty((5, len(f)), dtype=np.intp)
+    head = f // 10**6
+    np.subtract(f, head * 10**6, out=groups[2])
+    np.floor_divide(head, 10**8, out=groups[0])
+    head -= groups[0] * 10**8
+    np.floor_divide(head, 10**4, out=groups[3])
+    np.subtract(head, groups[3] * 10**4, out=groups[1])
+    np.floor_divide(groups[2], 100, out=groups[4])
+    groups[2] -= groups[4] * 100
+    return groups

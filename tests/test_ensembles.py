@@ -522,6 +522,26 @@ class TestReproducibility:
         rev = np.sort(np.concatenate([chunks[s] for s in reversed(range(4))]))
         assert np.array_equal(fwd, rev)
 
+    @pytest.mark.parametrize(("name", "seed", "stream_id"), [
+        ("seed", -3, 0),  # would draw as seed 2**64 - 3
+        ("stream_id", 5, 2**64 + 7),  # would draw as stream 7
+        ("seed", True, 0),  # would draw as seed 1
+        ("seed", 5.5, 0),
+        ("stream_id", 5, "7"),
+    ])
+    def test_aliasing_keys_refused(self, name, seed, stream_id):
+        with pytest.raises(ValueError, match=f"^{name}: |^{name} must lie in"):
+            en.RngStream(seed, stream_id)
+
+    def test_largest_keys_accepted(self):
+        key = en.RngStream(2**64 - 1, 2**64 - 1).generator().bit_generator.state["state"]["key"]
+        assert key.tolist() == [2**64 - 1, 2**64 - 1]
+
+    def test_integral_keys_read_as_ints(self):
+        stream = en.RngStream(np.uint64(7), 3.0)
+        assert stream == en.RngStream(7, 3) and type(stream.seed) is int and type(stream.stream_id) is int
+        assert np.array_equal(stream.generator().random(4), en.RngStream(7, 3).generator().random(4))
+
 
 class TestSampleSystem:
     """The (B, R) stacks of the joint (A, b) sampler, girko.solution_sampler."""

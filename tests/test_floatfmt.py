@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rmtlab import floatfmt
+from rmtlab import cli, floatfmt
 
 
 def str_rows(block, prefix="") -> bytes:
@@ -59,6 +61,61 @@ def test_matches_str(block, prefix):
     assert floatfmt.format_rows(block, prefix) == str_rows(block, prefix)
 
 
+def repr_shape(x: float) -> tuple[int, int]:
+    """(significant digits, decpt) of repr(x), with |x| = 0.d1d2... 10^decpt."""
+    digits = Decimal(repr(x)).normalize().as_tuple()
+    return len(digits.digits), len(digits.digits) + digits.exponent
+
+
+def shaped(first: int, count: int, decpt: int) -> float:
+    """A float whose repr has count significant digits, the first one first, and point decpt."""
+    x = float(f"0.{(str(first) + '23456789' * 2)[:count]}e{decpt}")
+    while repr_shape(x) != (count, decpt):  # past 15 digits a decimal need not read back as itself
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@pytest.mark.parametrize("cols", [1, 3])
+def test_every_layout(cols):
+    # each count of significant digits, each fixed-form point, and exponent form with one-, two- and
+    # three-digit exponents; the first digit 1 or 9 makes Schubfach's significand 17 or 16 digits
+    points = list(range(-3, 17)) + [-4, 17, -40, 60, -300, 300]
+    x = np.array([shaped(first, count, decpt)
+                  for first in (1, 9) for count in range(1, 18 - (first == 9)) for decpt in points])
+    f, _ = floatfmt._shortest(x)
+    assert ({(repr_shape(v), bool(lead)) for v, lead in zip(x.tolist(), f < 10**16)}
+            == {((count, decpt), lead) for count in range(1, 18) for decpt in points for lead in (count < 17, False)})
+    x = np.concatenate([x, -x])
+    block = x[:len(x) // cols * cols].reshape(-1, cols)
+    assert floatfmt.format_rows(block, "gaussian,") == str_rows(block, "gaussian,")
+
+
+@pytest.mark.parametrize("cols", [1, 2, 5])
+def test_label_padding(cols):
+    # a label of any length is padded with NULs to whole words, so every value's slot stays aligned
+    x = np.random.default_rng(cols).standard_cauchy(7 * cols)
+    x[::4] = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310, 2.0, -1e16][:len(x[::4])]
+    block = x.reshape(7, cols)
+    for length in range(25):
+        label = ("two-shell:0.5,5,0.3," * 2)[:length]
+        assert floatfmt.format_rows(block, label) == str_rows(block, label)
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3])
+def test_temporaries_stay_small(cols):
+    # one call's peak allocation at the emitter's chunk size, its tables already built, stays within
+    # the 1222 KB (204 bytes a value) of the 50-byte-template formatter that this one replaced
+    block = np.random.default_rng(cols).standard_cauchy((cli.EMIT_VALUES // cols, cols))
+    floatfmt.format_rows(block[:1], "shell:1,")
+    tracemalloc.start()
+    try:
+        floatfmt.format_rows(block, "shell:1,")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1222 * 1024
+
+
 def test_empty_block():
     assert floatfmt.format_rows(np.empty((0, 3)), "gaussian,") == b""
 
@@ -69,7 +126,7 @@ def test_printer_is_loaded_and_built_on_first_use():
             "from rmtlab import cli\n"
             "print('rmtlab.floatfmt' in sys.modules)\n"
             "from rmtlab import floatfmt\n"
-            "tables = (floatfmt._powers_of_ten, floatfmt._quads, floatfmt._layouts)\n"
+            "tables = (floatfmt._powers_of_ten, floatfmt._digits, floatfmt._layouts)\n"
             "print([t.cache_info().currsize for t in tables])\n"
             "floatfmt.format_rows(cli.np.ones((1, 1)))\n"
             "print([t.cache_info().currsize for t in tables])\n")
