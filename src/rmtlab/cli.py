@@ -54,6 +54,7 @@ DENSITY_KINDS = ("universal-real", "universal-complex", "matrix-t", "girko")
 EMIT_VALUES = 6144
 # Largest m, n and samples a config may ask for; README gives the reasons.
 MAX_DIM = 64
+MAX_WIDTH = 1e300  # largest solution width of girko and girko-stable: the draws' Cauchy tails stay finite
 MAX_SAMPLES = 10_000_000
 MAX_MN = 20  # largest identities grid; beyond it a Gaussian determinant integral overflows
 MAX_SEED = 2**64 - 1  # Philox keys on 64 bits, so a wider seed would alias a narrower one
@@ -262,6 +263,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"u: needs {cfg.n} entries to match n, got {len(cfg.u)}")
     if cfg.alpha not in (1, 2):
         raise ConfigError(f"alpha: only 1 and 2 are supported, got {cfg.alpha}")
+    if kind in ("girko", "girko-stable"):
+        width = girko.beta_euclidean(cfg.u) if kind == "girko" else girko.beta_alpha(cfg.u, cfg.alpha)
+        if not width <= MAX_WIDTH:
+            raise ConfigError(f"u: the solution width {width:g} passes {MAX_WIDTH:g}")
     if kind == "exactness" and cfg.n != 1:
         raise ConfigError(f"n: exactness compares components to the Cauchy law and needs n = 1, got {cfg.n}")
     if kind in ("universality", "complex") and len(cfg.radial) < 2 and (kind, cfg.m, cfg.n) != ("complex", 1, 1):
@@ -622,21 +627,12 @@ def density_value(kind: str, params: dict, at) -> float:
         return girko.girko_logdensity(Z, given.get("u", ()))
     Z = np.atleast_2d(Z)
     m, n = Z.shape
-    scales = {"M": np.zeros((m, n)), "Sigma": np.eye(m), "Omega": np.eye(n)}
-    for name, default in list(scales.items()):
-        scales[name] = value = np.atleast_2d(given.get(name, default))
-        try:
-            if value.shape != default.shape:
-                raise ValueError(f"expected shape {default.shape}, got {value.shape}")
-            if name != "M":
-                matcore.spd_logdet(value)  # raises unless positive definite
-        except ValueError as exc:
-            raise ConfigError(f"params: {name}: {exc}") from None
     try:
-        t_params = TDistParams(q=given.get("q", 1.0), **scales)
-    except ValueError as exc:
-        raise ConfigError(f"params: q: {exc}") from None
-    return densities.log_matrix_t(Z, t_params)
+        t_params = TDistParams(M=given.get("M", np.zeros((m, n))), Sigma=given.get("Sigma", np.eye(m)),
+                               Omega=given.get("Omega", np.eye(n)), q=given.get("q", 1.0))
+        return densities.log_matrix_t(Z, t_params)
+    except ValueError as exc:  # TDistParams and log_matrix_t name the parameter
+        raise ConfigError(f"params: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

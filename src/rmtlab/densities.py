@@ -43,7 +43,8 @@ class TDistParams:
 
     M is the m x n location, Sigma (m x m) and Omega (n x n) are symmetric
     positive definite scale matrices, and q > 0 tunes the tail exponent.
-    The universal law of Z = B^-1 X is the member (0, I, I, 1).
+    The universal law of Z = B^-1 X is the member (0, I, I, 1).  Only q is
+    checked here; log_matrix_t checks the matrices against its Z.
     """
 
     M: np.ndarray
@@ -55,8 +56,8 @@ class TDistParams:
         object.__setattr__(self, "M", np.atleast_2d(np.asarray(self.M, dtype=float)))
         object.__setattr__(self, "Sigma", np.atleast_2d(np.asarray(self.Sigma, dtype=float)))
         object.__setattr__(self, "Omega", np.atleast_2d(np.asarray(self.Omega, dtype=float)))
-        if not self.q > 0:
-            raise ValueError(f"q must be positive, got {self.q}")
+        if not 0.0 < self.q < math.inf:
+            raise ValueError(f"q: must be positive and finite, got {self.q}")
 
     @staticmethod
     def spherical(m: int, n: int) -> "TDistParams":
@@ -134,13 +135,56 @@ def log_universal_complex(Z) -> float:
     return log_universal_complex_norm(m, n) - float(m + n) * _gram_logdet(Z)
 
 
+# Smallest argument x at which lgamma(x + a) - lgamma(x) is taken from
+# Stirling's series: from there on two lgammas near x log x would cancel to
+# a fraction of their size
+STIRLING_FROM = 1024.0
+# Largest relative asymmetry max |S - S^T| / max |S| of an accepted scale
+# matrix; A Sigma A^T formed in floats is asymmetric by ~1e-16
+SYMMETRY_RTOL = 1e-12
+
+
 @lru_cache(maxsize=None)
 def _log_matrix_t_norm(m: int, n: int, q: float) -> float:
+    """log D = -(mn/2) log pi + sum over j = 1..n of lgamma(x_j + m/2) - lgamma(x_j), x_j = (n - j + q)/2.
+
+    x_j is formed from an exact integer and q, so it rounds once and stays
+    positive for every q > 0; where the last, q/2, rounds to 0, lgamma(q/2)
+    is log 2 - log q to the last bit.  From x_j = STIRLING_FROM on, the
+    difference is Stirling's series (x - 1/2) log1p(a/x) + a log(x + a) - a
+    - a/(12 x (x + a)), a = m/2, which leaves out 1e-15 of it at most for
+    a <= 32; below, it is the two lgammas.
+    """
+    a = m / 2
     terms = [-0.5 * m * n * LOG_PI]
     for j in range(1, n + 1):
-        terms.append(math.lgamma(0.5 * (m + n + q - j)))
-        terms.append(-math.lgamma(0.5 * (n + q - j)))
+        x = ((n - j) + q) / 2
+        if x == 0.0:
+            terms += [math.lgamma(a), math.log(q) - LN2]
+        elif x < STIRLING_FROM:
+            terms += [math.lgamma(x + a), -math.lgamma(x)]
+        else:
+            terms += [(x - 0.5) * math.log1p(a / x), a * math.log(x + a), -a, -a / (12.0 * x * (x + a))]
     return math.fsum(terms)
+
+
+def _scale_factor(name: str, S: np.ndarray, d: int) -> np.ndarray:
+    """Lower Cholesky factor of the scale matrix S, which must be d x d, symmetric and positive definite.
+
+    Symmetric means to SYMMETRY_RTOL: the factorization reads S's lower
+    triangle alone, so without the check an upper triangle would be
+    ignored.  Errors lead with name.
+    """
+    try:
+        if S.shape != (d, d):
+            raise ValueError(f"expected shape {(d, d)}, got {S.shape}")
+        if not np.isfinite(S).all():
+            raise ValueError("contains non-finite entries")
+        if np.abs(S - S.T).max() > SYMMETRY_RTOL * np.abs(S).max():
+            raise ValueError("must be symmetric")
+        return matcore.cholesky(S)
+    except ValueError as exc:  # NotPositiveDefinite is a ValueError
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def log_matrix_t(Z, params: TDistParams) -> float:
@@ -149,24 +193,31 @@ def log_matrix_t(Z, params: TDistParams) -> float:
     log D - (n/2) log det Sigma - (m/2) log det Omega
           - (m+n+q-1)/2 * log det(1 + Sigma^-1 (Z-M) Omega^-1 (Z-M)^T).
 
-    With Cholesky factors Sigma = L L^T and Omega = R R^T, K = Z - M is
-    whitened to Y = L^-1 K R^-T, whose det(1 + Y Y^T) is the determinant
+    This is where the parameters are checked against Z's shape m x n: M
+    must be a finite m x n matrix, Sigma (m x m) and Omega (n x n)
+    symmetric positive definite; a ValueError leads with the parameter's
+    name.  With Cholesky factors Sigma = L L^T and Omega = R R^T, K = Z - M
+    is whitened to Y = L^-1 K R^-T, whose det(1 + Y Y^T) is the determinant
     above; _gram_logdet takes it from Y's singular values, so no product of
-    K is formed.  K is scaled to 2^-e K, at most 1, before the solves, so the
-    value stays finite for any finite Z even where Y would overflow.
+    K is formed.  Z and M are halved before the subtraction where it could
+    overflow, and K is scaled to 2^-e K, at most 1, before the solves, so
+    the value stays finite for any finite Z and M even where Y would
+    overflow.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     m, n = Z.shape
-    if params.M.shape != (m, n):
-        raise ValueError(f"location must be {m}x{n}, got {params.M.shape}")
-    if params.Sigma.shape != (m, m) or params.Omega.shape != (n, n):
-        raise ValueError("scale matrices have inconsistent dimensions")
-    L, R = matcore.cholesky(params.Sigma), matcore.cholesky(params.Omega)
+    M = params.M
+    if M.shape != (m, n):
+        raise ValueError(f"M: expected shape {(m, n)}, got {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError("M: contains non-finite entries")
+    L, R = _scale_factor("Sigma", params.Sigma, m), _scale_factor("Omega", params.Omega, n)
     logdet_sigma = 2.0 * float(np.log(np.diagonal(L)).sum())
     logdet_omega = 2.0 * float(np.log(np.diagonal(R)).sum())
-    K = Z - params.M
-    e = max(0, math.frexp(np.abs(K).max())[1])  # |2^-e K| <= 1: the solves overflow only on L's and R's size
-    Y = np.linalg.solve(L, np.linalg.solve(R, np.ldexp(K, -e).T).T)
+    h = int(max(np.abs(Z).max(), np.abs(M).max()) >= 2.0**1023)  # Z - M could pass the largest float
+    K = np.ldexp(Z, -h) - np.ldexp(M, -h)  # 2^-h (Z - M): exact but for subnormals
+    e = max(0, math.frexp(np.abs(K).max())[1] + h)  # |2^-e (Z - M)| <= 1: the solves overflow only on L's and R's size
+    Y = np.linalg.solve(L, np.linalg.solve(R, np.ldexp(K, h - e).T).T)
     core = _gram_logdet(Y, e)
     return (
         _log_matrix_t_norm(m, n, params.q)

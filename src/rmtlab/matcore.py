@@ -8,7 +8,10 @@ rule on its pivot magnitudes, back-substitutes the pivot rows into
 Z = B^-1 R and returns Z as a view of that copy.  gram_logdet reads such a
 Z and takes log det(I + Z Z^H) by an LDL^H of the Gram of its smaller side.
 With c = 0 right-hand sides, solve_flagged gives the flags alone.  The
-public solve_multi, spd_logdet and cholesky go to numpy's LAPACK.
+public solve_multi, spd_logdet and cholesky go to numpy's LAPACK:
+densities.log_matrix_t factors its scale matrices with cholesky, and no
+runner or density path calls solve_multi or spd_logdet; perfbench's layer
+sweep does.
 Determinants are only ever formed in the log domain.
 """
 

@@ -268,6 +268,10 @@ class TestConfigParsing:
             ({"kind": "girko-stable", "alpha": 1, "u": [10**400]}, "u"),
             # every read field's type is checked before any field's bound
             ({"seed": -1, "m": "x"}, "m"),
+            # a solution width past MAX_WIDTH: the draws overflow to inf, or alpha 2's quadrature grid does
+            ({"kind": "girko", "u": [1e306], "radial": ["gaussian", "shell:1"]}, "u"),
+            ({"kind": "girko-stable", "alpha": 1, "u": [1e306]}, "u"),
+            ({"kind": "girko-stable", "alpha": 2, "u": [6e307]}, "u"),
         ],
     )
     def test_bad_input_fails_at_parse_time(self, tmp_path, capsys, overrides, field):
@@ -284,6 +288,9 @@ class TestConfigParsing:
         cfg = cli.parse_config(small_config(kind="universality", n=64, radial=["gaussian", "shell:1"]))
         assert cfg.n == 64
         assert cli.parse_config({"kind": "identities", "max_mn": 20}).max_mn == 20
+        for raw in ({"kind": "girko", "u": [1e300], "radial": ["gaussian", "shell:1"]},
+                    {"kind": "girko-stable", "alpha": 1, "u": [5e299]}, {"kind": "girko-stable", "u": [1e300]}):
+            assert cli.parse_config(small_config(**raw)).u == tuple(raw["u"])
 
     def test_integral_numbers_and_the_seed_range_accepted(self):
         cfg = cli.parse_config(small_config(m=3.0, seed=2**64 - 1))
@@ -709,6 +716,36 @@ class TestCommandLine:
         params = {"Sigma": [[1.0, 2.0], [2.0, 1.0]]}
         assert cli.main(["density", "--kind", "matrix-t", "--params", json.dumps(params), "--at", "[[1e200],[0]]"]) == 2
         assert capsys.readouterr().err.startswith("error: params: Sigma: ")
+
+    @pytest.mark.parametrize(("params", "message"), [
+        ({"Sigma": [[1, 5], [0, 1]]}, "params: Sigma: must be symmetric"),
+        ({"Sigma": [[1, 0], [5, 1]]}, "params: Sigma: must be symmetric"),
+        ({"Sigma": [[1, 2], [2, 1]]}, "params: Sigma: Matrix is not positive definite"),
+        ({"M": [[1]]}, "params: M: expected shape (2, 1), got (1, 1)"),
+        ({"q": 0}, "params: q: must be positive and finite, got 0.0"),
+    ])
+    def test_density_matrix_t_names_the_bad_parameter(self, capsys, params, message):
+        assert cli.main(["density", "--kind", "matrix-t", "--params", json.dumps(params), "--at", "[[0.3],[0.1]]"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_density_matrix_t_factors_each_scale_once(self, monkeypatch, capsys):
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda S: calls.append(S) or cholesky(S))
+        params = {"Sigma": [[2, 0.5], [0.5, 1]], "Omega": [[3]]}
+        assert cli.main(["density", "--kind", "matrix-t", "--params", json.dumps(params), "--at", "[[0.3],[0.1]]"]) == 0
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(("params", "at", "want"), [
+        # Z - M = -2e308 passes the largest float: log p = -log(pi) - log(1 + (Z - M)^2)
+        ({"M": [[1e308]]}, [[-1e308]], -math.log(math.pi) - 2.0 * (math.log(2.0) + math.log(1e308))),
+        # q/2 rounds to 0 in floats; at q = 1e308 each lgamma of the constant passes 1e310
+        ({"q": 5e-324}, [[0.0]], math.log(5e-324) - math.log(2.0)),
+        ({"q": 1e308}, [[0.0]], 0.5 * math.log(0.5e308 / math.pi)),
+    ])
+    def test_density_matrix_t_at_extreme_values(self, capsys, params, at, want):
+        assert cli.main(["density", "--kind", "matrix-t", "--params", json.dumps(params), "--at", json.dumps(at)]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["log_density"] - want) <= 1e-12 * abs(want)
 
     def test_density_matrix_t(self, capsys):
         code = cli.main([

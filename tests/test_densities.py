@@ -197,8 +197,55 @@ class TestMatrixT:
 
     def test_rejects_bad_shapes(self):
         params = de.TDistParams.spherical(2, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^M: expected shape \(3, 2\), got \(2, 2\)$"):
             de.log_matrix_t(np.zeros((3, 2)), params)
+
+    @pytest.mark.parametrize(("changes", "message"), [
+        ({"Sigma": np.eye(3)}, r"Sigma: expected shape \(2, 2\), got \(3, 3\)"),
+        ({"Omega": np.eye(2)}, r"Omega: expected shape \(1, 1\), got \(2, 2\)"),
+        ({"Sigma": [[1.0, 5.0], [0.0, 1.0]]}, "Sigma: must be symmetric"),
+        ({"Sigma": [[1.0, 0.0], [5.0, 1.0]]}, "Sigma: must be symmetric"),
+        ({"Sigma": [[1.0, 2.0], [2.0, 1.0]]}, "Sigma: Matrix is not positive definite"),
+        ({"Sigma": np.zeros((2, 2))}, "Sigma: Matrix is not positive definite"),
+        ({"Omega": [[-1.0]]}, "Omega: Matrix is not positive definite"),
+        ({"Sigma": [[1.0, 0.0], [0.0, np.inf]]}, "Sigma: contains non-finite entries"),
+        ({"M": [[np.nan], [0.0]]}, "M: contains non-finite entries"),
+    ])
+    def test_names_the_bad_parameter(self, changes, message):
+        params = {"M": np.zeros((2, 1)), "Sigma": np.eye(2), "Omega": np.eye(1)} | changes
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            de.log_matrix_t(np.zeros((2, 1)), de.TDistParams(**params))
+
+    @pytest.mark.parametrize("q", [0.0, -1.0, math.inf, math.nan])
+    def test_q_must_be_positive_and_finite(self, q):
+        with pytest.raises(ValueError, match="^q: must be positive and finite"):
+            de.TDistParams(M=[[0.0]], Sigma=[[1.0]], Omega=[[1.0]], q=q)
+
+    def test_round_off_asymmetry_is_accepted_as_it_stands(self):
+        # A Sigma A^T formed in floats is symmetric only to round-off; the
+        # value is that of the symmetric matrix with the same lower triangle, bit for bit
+        rng = np.random.default_rng(31)
+        for m in range(2, 9):
+            A, G = rng.standard_normal((m, m)), rng.standard_normal((m, m + 2))
+            S = A @ (G @ G.T) @ A.T
+            Z = rng.standard_normal((m, 2))
+            lower = np.tril(S) + np.tril(S, -1).T
+            got = de.log_matrix_t(Z, de.TDistParams(M=np.zeros((m, 2)), Sigma=S, Omega=np.eye(2), q=2.5))
+            want = de.log_matrix_t(Z, de.TDistParams(M=np.zeros((m, 2)), Sigma=lower, Omega=np.eye(2), q=2.5))
+            assert got == want
+        assert np.abs(S - S.T).max() > 0.0  # the last S is not symmetric in floats
+
+    @pytest.mark.parametrize(("m", "n"), [(1, 1), (3, 2), (8, 4)])
+    def test_norm_is_accurate_for_every_q(self, m, n):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(400):
+            for q in [5e-324, 1e-320, 1e-6, 0.5, 1.0, 2.5, 1e4, 1e8, 1e12, 1e20, 1e300, 1e308]:
+                mq = mpmath.mpf(q)
+                want = -m * n * mpmath.log(mpmath.pi) / 2 + mpmath.fsum(
+                    mpmath.loggamma((m + n - j + mq) / 2) - mpmath.loggamma((n - j + mq) / 2) for j in range(1, n + 1)
+                )
+                got = de._log_matrix_t_norm(m, n, q)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), q
 
 
 class TestSelbergIntegral:

@@ -1,6 +1,7 @@
 """Property tests of the paper's symmetries (stable CDF reflection and
 monotonicity, Z -> O Z Q invariance, the (m, n) transpose symmetry, of the
-Gram log-det among them, and the solve's invariance under a common scale,
+Gram log-det among them, the matrix t law's equivariance under Z -> A Z C^T,
+and the solve's invariance under a common scale,
 so that a power of two in a shell's radius changes no draw) and of the
 reproducibility contract: a block's draws depend on its generator's state
 alone, draw_rows pools the rows of one draw_block call per keyed substream,
@@ -112,6 +113,26 @@ def test_transpose_swaps_m_and_n(m, n, seed, log_scale, q):
         de.log_matrix_t(Z.T, de.TDistParams(M=M.T, Sigma=Omega, Omega=Sigma, q=q)),
         de.log_matrix_t(Z, de.TDistParams(M=M, Sigma=Sigma, Omega=Omega, q=q)),
     )
+
+
+def symmetric(S):
+    return 0.5 * (S + S.T)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(m=dims, n=dims, seed=seeds, log_scale=log_scales, q=st.floats(0.5, 5.0))
+def test_matrix_t_is_affine_equivariant(m, n, seed, log_scale, q):
+    # Z -> A Z C^T maps the law (M, Sigma, Omega, q) to (A M C^T, A Sigma A^T,
+    # C Omega C^T, q), and its Jacobian is |det A|^n |det C|^m; A and C are
+    # rotations with columns scaled by 1/4..4, so their condition stays below 16
+    rng = np.random.default_rng(seed)
+    Z, M = 10.0**log_scale * rng.standard_normal((2, m, n))
+    Sigma, Omega = spd(rng, m), spd(rng, n)
+    A, C = haar(rng, m) * 4.0 ** rng.uniform(-1, 1, m), haar(rng, n) * 4.0 ** rng.uniform(-1, 1, n)
+    moved = de.TDistParams(M=A @ M @ C.T, Sigma=symmetric(A @ Sigma @ A.T), Omega=symmetric(C @ Omega @ C.T), q=q)
+    want = (de.log_matrix_t(Z, de.TDistParams(M=M, Sigma=Sigma, Omega=Omega, q=q))
+            - n * np.linalg.slogdet(A)[1] - m * np.linalg.slogdet(C)[1])
+    assert close(de.log_matrix_t(A @ Z @ C.T, moved), want)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +269,7 @@ ks_values = st.one_of(
 )
 
 
-@settings(PROPERTY, max_examples=100)
+@settings(PROPERTY, max_examples=200)
 @given(
     a=st.lists(ks_values, min_size=stats.MIN_SAMPLES, max_size=90),
     b=st.lists(ks_values, min_size=stats.MIN_SAMPLES, max_size=60),
